@@ -121,7 +121,8 @@ pub fn config_hash(cfg: &SolverConfig) -> u64 {
 /// Canonical content hash of a graph version: the plain [`graph_hash`]
 /// when no battery overrides are pinned (so a mutated graph hashes
 /// identically to the same topology registered fresh — the serve
-/// cache's incremental-repair equivalence depends on this), and a
+/// cache keys on this hash, so both share entries and a mutation chain
+/// back to earlier content finds that content's entries again), and a
 /// domain-separated hash over the topology plus the sorted
 /// `(node, value)` override pairs otherwise.
 pub fn versioned_graph_hash(g: &Graph, overrides: &std::collections::BTreeMap<u32, u64>) -> u64 {

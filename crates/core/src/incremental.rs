@@ -1,32 +1,24 @@
-//! Incremental re-solve for dynamic graphs (ROADMAP item 4).
+//! Graph deltas for dynamic graphs.
 //!
 //! A live deployment churns: nodes crash, links flap, batteries drain
 //! and recharge. The serving tier models each churn event as a
 //! [`GraphDelta`] applied to a named graph, producing a new graph
 //! version. This module holds the version-agnostic algorithmic core:
-//! applying a delta to a topology, projecting a schedule computed on the
-//! pre-delta graph onto the post-delta node universe (reusing the same
-//! index-compaction rules as the subgraph machinery the adaptive runtime
-//! is built on), and [`repair_schedule`] — the repair-then-certify
-//! entry point the server's solve path calls.
+//! applying a delta to a topology, and projecting a schedule computed on
+//! the pre-delta graph onto the post-delta node universe (reusing the
+//! same index-compaction rules as the subgraph machinery the adaptive
+//! runtime is built on).
 //!
-//! # Repair-then-certify
-//!
-//! The serving tier's contract is that response bytes are a pure
-//! function of `(graph content, batteries, request)` — independent of
-//! threads, batching, cache state, and, now, of *how the graph came to
-//! be* (mutated in place vs registered fresh). A repaired schedule that
-//! merely *valid* but different from what a fresh solve would produce
-//! would break that contract: the same `graph_hash` could cache two
-//! different payloads depending on mutation history. So repair here is
-//! a *certified* fast path: project the previous schedule through the
-//! delta, clip it to its longest valid prefix, run the solver on the
-//! mutated graph, and report [`RepairMode::Repaired`] exactly when the
-//! projected candidate already equals the fresh solution. The response
-//! is always rendered from the fresh solution, so byte-identity holds
-//! by construction; the mode is an honest telemetry signal of schedule
-//! stability under churn (how often the old plan survives the delta),
-//! not a correctness-relevant branch.
+//! The server solves every graph version from scratch: a schedule is a
+//! pure function of `(graph content, batteries, request)`, so a solve
+//! after a mutation is the same code path as any other solve.
+//! [`repair_schedule`] is kept as the benchmark replay's reference for
+//! what projecting and certifying the previous schedule would cost: it
+//! projects the previous schedule through the delta, clips it to its
+//! longest valid prefix, runs the solver on the mutated graph, and
+//! reports [`RepairMode::Repaired`] exactly when the projected candidate
+//! already equals the fresh solution. It always returns the fresh
+//! solution.
 
 use crate::error::DomaticError;
 use crate::solver::{effective_graph, Solver, SolverConfig};
@@ -203,17 +195,6 @@ pub enum RepairMode {
     /// The projected candidate was invalid, worse, or merely different;
     /// the full re-solve's answer is the one that counts.
     FullResolve,
-}
-
-impl RepairMode {
-    /// The matching trace-event name
-    /// (`incremental_repair` / `full_resolve_fallback`).
-    pub fn trace_event(self) -> &'static str {
-        match self {
-            RepairMode::Repaired => "incremental_repair",
-            RepairMode::FullResolve => "full_resolve_fallback",
-        }
-    }
 }
 
 /// A certified repair: the schedule to serve plus how it was obtained.

@@ -64,7 +64,7 @@ pub use fault_tolerant::{fault_tolerant_schedule, FaultTolerantRun};
 pub use general::{general_schedule, GeneralParams, MultiColorAssignment};
 pub use greedy::{greedy_domatic_partition, greedy_general_schedule, greedy_uniform_schedule};
 pub use hash::{batteries_hash, config_hash, graph_hash, versioned_graph_hash, CanonicalHasher};
-pub use incremental::{project_through_delta, repair_schedule, GraphDelta, RepairMode};
+pub use incremental::GraphDelta;
 pub use model::Instance;
 pub use partition::ColorAssignment;
 pub use portfolio::PortfolioSolver;

@@ -35,11 +35,11 @@ use crate::protocol::{self, Op, Request};
 use crate::trace::{ReqTrace, Tracer};
 use domatic_core::error::DomaticError;
 use domatic_core::hash::{config_hash, versioned_graph_hash, CanonicalHasher};
-use domatic_core::incremental::{repair_schedule, GraphDelta, RepairMode};
+use domatic_core::incremental::GraphDelta;
 use domatic_core::solver::make_solver;
 use domatic_graph::Graph;
 use domatic_netsim::{compare_static_adaptive, AdaptiveConfig, FailureModel, FailurePlan};
-use domatic_schedule::{Batteries, Schedule};
+use domatic_schedule::Batteries;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
@@ -129,8 +129,6 @@ struct Counters {
     deadline_expired: AtomicU64,
     errors: AtomicU64,
     mutations: AtomicU64,
-    repairs: AtomicU64,
-    repair_fallbacks: AtomicU64,
     lineage_invalidations: AtomicU64,
 }
 
@@ -169,12 +167,6 @@ pub struct ServerStatsSnapshot {
     pub errors: u64,
     /// Graph mutations applied (each producing a new graph version).
     pub mutations: u64,
-    /// Solves whose projected previous schedule certified as equal to
-    /// the fresh solution (the old plan survived the delta intact).
-    pub repairs: u64,
-    /// Solves after a mutation where the projected previous schedule was
-    /// invalid or different and the full re-solve's answer won.
-    pub repair_fallbacks: u64,
     /// Cache entries dropped by hash-lineage invalidation (descendant
     /// versions superseding the entries' graph version).
     pub lineage_invalidations: u64,
@@ -188,19 +180,9 @@ pub struct ServerStatsSnapshot {
     pub connections: u64,
 }
 
-/// Schedules solved against one graph version, keyed by
-/// solver/config/battery subkey — the repair hints the *next* version's
-/// solves project through their delta.
-type HintMap = Arc<Mutex<HashMap<u64, Schedule>>>;
-
-/// The immediately superseded version of a named graph: the delta that
-/// replaced it plus the schedules solved against it (repair hints).
-struct PrevVersion {
-    delta: GraphDelta,
-    hints: HintMap,
-}
-
-/// The current version of a named graph, with its mutation lineage.
+/// The current version of a named graph and its parent's hash. Keeps
+/// no per-mutation history: its size is bounded by the graph, not by the
+/// number of mutations applied.
 struct NamedGraph {
     graph: Arc<Graph>,
     /// Content hash of this version (topology + battery overrides) —
@@ -213,12 +195,6 @@ struct NamedGraph {
     version: u64,
     /// Hash of the immediately preceding version.
     parent: Option<u64>,
-    /// Hashes of every superseded version, oldest first.
-    ancestors: Vec<u64>,
-    /// Schedules solved against *this* version (future repair hints).
-    hints: HintMap,
-    /// The superseded version's delta + hints, for incremental repair.
-    prev: Option<PrevVersion>,
 }
 
 impl NamedGraph {
@@ -230,9 +206,6 @@ impl NamedGraph {
             overrides: Arc::new(overrides),
             version: 0,
             parent: None,
-            ancestors: Vec::new(),
-            hints: Arc::new(Mutex::new(HashMap::new())),
-            prev: None,
         }
     }
 }
@@ -257,14 +230,6 @@ struct Batch {
     waiters: Mutex<Vec<Waiter>>,
 }
 
-/// What an incremental solve can repair against: the delta that
-/// produced the current graph version and the superseded version's
-/// solved schedules.
-struct RepairContext {
-    delta: GraphDelta,
-    prev_hints: HintMap,
-}
-
 /// Everything a spawned job needs to compute its payload. The graph
 /// fields are a snapshot taken at submit time: a mutation landing while
 /// the job is in flight does not change what this job solves (its
@@ -275,8 +240,6 @@ struct JobSpec {
     graph: Arc<Graph>,
     graph_hash: u64,
     overrides: Arc<BTreeMap<u32, u64>>,
-    hints: HintMap,
-    repair: Option<RepairContext>,
 }
 
 /// The solve service. Construct with [`Server::new`], register graphs
@@ -367,12 +330,13 @@ impl Server {
         lock(&self.cache).graph_hashes()
     }
 
-    /// Test introspection: a named graph's `(hash, version, ancestors)`.
+    /// Test introspection: a named graph's `(hash, version, parent)`,
+    /// the parent hash as a zero- or one-element list.
     #[doc(hidden)]
     pub fn graph_lineage(&self, name: &str) -> Option<(u64, u64, Vec<u64>)> {
         rlock(&self.graphs)
             .get(name)
-            .map(|g| (g.hash, g.version, g.ancestors.clone()))
+            .map(|g| (g.hash, g.version, g.parent.into_iter().collect()))
     }
 
     /// Whether a `shutdown` request has been received.
@@ -400,8 +364,6 @@ impl Server {
             deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
             mutations: c.mutations.load(Ordering::Relaxed),
-            repairs: c.repairs.load(Ordering::Relaxed),
-            repair_fallbacks: c.repair_fallbacks.load(Ordering::Relaxed),
             lineage_invalidations: c.lineage_invalidations.load(Ordering::Relaxed),
             cache_bytes,
             cache_entries,
@@ -517,10 +479,8 @@ impl Server {
 
     /// Applies one churn delta to a named graph, producing a new
     /// version: the graph/overrides are swapped under the write lock,
-    /// lineage is recorded, the superseded version's cache entries are
-    /// retired, and the previous version's solved schedules become the
-    /// repair hints for solves against the new version. Returns the
-    /// rendered mutate result payload.
+    /// the parent hash is recorded, and the superseded version's cache
+    /// entries are retired. Returns the rendered mutate result payload.
     fn apply_mutation(&self, req: &Request) -> Result<String, DomaticError> {
         let delta = req.delta.as_ref().expect("mutate request carries a delta");
         let mut graphs = wlock(&self.graphs);
@@ -566,12 +526,6 @@ impl Server {
         let new_hash = versioned_graph_hash(&new_graph, &new_overrides);
         named.version += 1;
         named.parent = Some(parent_hash);
-        named.ancestors.push(parent_hash);
-        named.prev = Some(PrevVersion {
-            delta: delta.clone(),
-            hints: Arc::clone(&named.hints),
-        });
-        named.hints = Arc::new(Mutex::new(HashMap::new()));
         named.graph = new_graph;
         named.overrides = new_overrides;
         named.hash = new_hash;
@@ -628,15 +582,10 @@ impl Server {
                     Arc::clone(&named.graph),
                     named.hash,
                     Arc::clone(&named.overrides),
-                    Arc::clone(&named.hints),
-                    named.prev.as_ref().map(|p| RepairContext {
-                        delta: p.delta.clone(),
-                        prev_hints: Arc::clone(&p.hints),
-                    }),
                 )
             })
         };
-        let Some((graph, graph_hash, overrides, hints, repair)) = snapshot else {
+        let Some((graph, graph_hash, overrides)) = snapshot else {
             self.tracer.shed(&rt, "unknown_graph");
             self.respond_err(
                 sink,
@@ -687,10 +636,6 @@ impl Server {
             graph,
             graph_hash,
             overrides,
-            hints,
-            // Repair applies to solves only: `bounds` and `adapt` have no
-            // previous schedule to project.
-            repair: if req.op == Op::Solve { repair } else { None },
             req,
         };
         self.tracer.event(&rt, "admitted");
@@ -837,7 +782,7 @@ impl Server {
                 if let Some(rt) = &leader {
                     self.tracer.event(rt, "solve_end");
                 }
-                computed.map(|(payload, s_us, r_us, repair_mode)| {
+                computed.map(|(payload, s_us, r_us)| {
                     solve_us = s_us;
                     render_us = r_us;
                     domatic_telemetry::global().observe_labeled(
@@ -845,19 +790,6 @@ impl Server {
                         &[("alg", &spec.req.alg), ("graph", &spec.req.graph)],
                         s_us,
                     );
-                    if let Some(mode) = repair_mode {
-                        if let Some(rt) = &leader {
-                            self.tracer.event(rt, mode.trace_event());
-                        }
-                        match mode {
-                            RepairMode::Repaired => {
-                                bump(&self.counters.repairs, "server.repair.incremental", 1)
-                            }
-                            RepairMode::FullResolve => {
-                                bump(&self.counters.repair_fallbacks, "server.repair.fallback", 1)
-                            }
-                        }
-                    }
                     if let Some(rt) = &leader {
                         self.tracer.event(rt, "rendered");
                     }
@@ -937,13 +869,10 @@ impl Server {
     }
 
     /// Computes a request's payload (with solve/render split timing, in
-    /// µs, and the repair mode for post-mutation solves). Panics inside
-    /// solver code are caught and surfaced as a typed error so one
-    /// poisoned instance cannot take the worker (or the server) down.
-    fn compute(
-        &self,
-        spec: &JobSpec,
-    ) -> Result<(String, u64, u64, Option<RepairMode>), DomaticError> {
+    /// µs). Panics inside solver code are caught and surfaced as a typed
+    /// error so one poisoned instance cannot take the worker (or the
+    /// server) down.
+    fn compute(&self, spec: &JobSpec) -> Result<(String, u64, u64), DomaticError> {
         catch_unwind(AssertUnwindSafe(|| compute_payload(spec))).unwrap_or_else(|_| {
             Err(DomaticError::BadRequest {
                 message: "solver panicked on this instance".into(),
@@ -1089,17 +1018,6 @@ fn solve_key(req: &Request, graph_hash: u64) -> u64 {
     h.finish()
 }
 
-/// The repair-hint subkey: which previous-version schedule a solve can
-/// project through its delta. Same dimensions as the solve cache key
-/// minus the graph (the hint map is already per-version).
-fn hint_key(req: &Request) -> u64 {
-    let mut h = CanonicalHasher::new();
-    h.write_str(&req.alg);
-    h.write_u64(config_hash(&req.cfg));
-    h.write_u64(req.b);
-    h.finish()
-}
-
 /// The per-request battery vector: uniform at `b`, with any `set_battery`
 /// overrides pinned on top.
 fn overlay_batteries(n: usize, b: u64, overrides: &BTreeMap<u32, u64>) -> Batteries {
@@ -1116,22 +1034,19 @@ fn overlay_batteries(n: usize, b: u64, overrides: &BTreeMap<u32, u64>) -> Batter
 }
 
 /// Renders a payload for one solve-shaped request, returning the payload
-/// plus solve and render phase durations in µs and — for solves that
-/// could attempt an incremental repair — the repair mode. Field order is
-/// fixed (alphabetical) and every formatting choice is deterministic, so
-/// equal requests render byte-identical payloads on any thread count —
-/// the timing and repair mode are observational only and never feed the
-/// payload (see `domatic_core::incremental` for why repaired and fresh
-/// solutions are guaranteed equal).
-fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64, Option<RepairMode>), DomaticError> {
+/// plus solve and render phase durations in µs. Field order is fixed
+/// (alphabetical) and every formatting choice is deterministic, so equal
+/// requests render byte-identical payloads on any thread count — the
+/// timing is observational only and never feeds the payload.
+fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64), DomaticError> {
     let g = &*spec.graph;
     let req = &spec.req;
     let batteries = overlay_batteries(g.n(), req.b, &spec.overrides);
     let t_start = Instant::now();
-    let timed = |t_solve: Instant, payload: String, mode: Option<RepairMode>| {
+    let timed = |t_solve: Instant, payload: String| {
         let render_us = t_solve.elapsed().as_micros() as u64;
         let solve_us = (t_start.elapsed().as_micros() as u64).saturating_sub(render_us);
-        (payload, solve_us, render_us, mode)
+        (payload, solve_us, render_us)
     };
     match req.op {
         Op::Bounds => {
@@ -1147,35 +1062,11 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64, Option<RepairMod
                 req.cfg.k.max(1),
                 g.m(),
                 g.n(),
-            ), None))
+            )))
         }
         Op::Solve => {
             let solver = make_solver(&req.alg)?;
-            // Incremental path: if the graph's previous version solved
-            // this same (alg, config, b) point, project that schedule
-            // through the delta and certify it against the fresh solve.
-            // The rendered schedule is always the fresh one — repair
-            // mode is telemetry, never a payload branch.
-            let hint = spec
-                .repair
-                .as_ref()
-                .and_then(|rc| lock(&rc.prev_hints).get(&hint_key(req)).cloned());
-            let (schedule, mode) = match (&spec.repair, hint) {
-                (Some(rc), Some(prev)) => {
-                    let out = repair_schedule(
-                        g,
-                        &batteries,
-                        &prev,
-                        &rc.delta,
-                        solver.as_ref(),
-                        &req.cfg,
-                    )?;
-                    (out.schedule, Some(out.mode))
-                }
-                _ => (solver.schedule(g, &batteries, &req.cfg)?, None),
-            };
-            // Remember this solution for the *next* version's repairs.
-            lock(&spec.hints).insert(hint_key(req), schedule.clone());
+            let schedule = solver.schedule(g, &batteries, &req.cfg)?;
             let tolerance = solver.tolerance(&req.cfg);
             let bound = solver.upper_bound(g, &batteries, &req.cfg);
             let t_solve = Instant::now();
@@ -1206,7 +1097,7 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64, Option<RepairMod
                 req.cfg.seed,
                 schedule.num_steps(),
                 req.cfg.trials,
-            ), mode))
+            )))
         }
         Op::Adapt => {
             let solver = make_solver(&req.alg)?;
@@ -1237,7 +1128,7 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64, Option<RepairMod
                 req.cfg.seed,
                 req.slots,
                 cmp.static_run.lifetime,
-            ), None))
+            )))
         }
         Op::Mutate | Op::Ping | Op::Stats | Op::Metrics | Op::Profile | Op::Shutdown => {
             unreachable!("answered inline")
@@ -1247,7 +1138,7 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64, Option<RepairMod
 
 fn render_stats(s: &ServerStatsSnapshot) -> String {
     format!(
-        "{{\"batch_joined\":{},\"cache_bytes\":{},\"cache_entries\":{},\"cache_evictions\":{},\"cache_hits\":{},\"cache_misses\":{},\"connections\":{},\"deadline_expired\":{},\"errors\":{},\"inflight\":{},\"lineage_invalidations\":{},\"mutations\":{},\"overloads\":{},\"repair_fallbacks\":{},\"repairs\":{},\"requests\":{},\"shed_join\":{},\"shed_miss\":{},\"solves\":{}}}",
+        "{{\"batch_joined\":{},\"cache_bytes\":{},\"cache_entries\":{},\"cache_evictions\":{},\"cache_hits\":{},\"cache_misses\":{},\"connections\":{},\"deadline_expired\":{},\"errors\":{},\"inflight\":{},\"lineage_invalidations\":{},\"mutations\":{},\"overloads\":{},\"requests\":{},\"shed_join\":{},\"shed_miss\":{},\"solves\":{}}}",
         s.batch_joined,
         s.cache_bytes,
         s.cache_entries,
@@ -1261,8 +1152,6 @@ fn render_stats(s: &ServerStatsSnapshot) -> String {
         s.lineage_invalidations,
         s.mutations,
         s.overloads,
-        s.repair_fallbacks,
-        s.repairs,
         s.requests,
         s.shed_join,
         s.shed_miss,

@@ -1,11 +1,11 @@
 //! Integration tests for the dynamic-graph surface: the `mutate` op's
-//! wire shape, per-op incremental-repair equivalence (a repaired solve
-//! must be byte-identical to a from-scratch solve of the mutated
-//! topology), and the cache's lineage-invalidation invariant — a
-//! mutation retires exactly its own superseded version, never a
-//! sibling graph's entries, and the cache never holds an entry keyed
-//! by an ancestor hash (property-tested over random mutation
-//! sequences).
+//! wire shape, per-op post-mutation equivalence (a solve after a
+//! mutation must be byte-identical to a from-scratch solve of the
+//! mutated topology), bounded per-graph lineage, and the cache's
+//! lineage-invalidation invariant — a mutation retires exactly its own
+//! superseded version, never a sibling graph's entries, and the cache
+//! never holds an entry keyed by an ancestor hash (property-tested over
+//! random mutation sequences).
 
 use domatic_core::{graph_hash, versioned_graph_hash};
 use domatic_graph::Graph;
@@ -140,10 +140,10 @@ fn mutate_response_shape_is_pinned() {
             mutated.m()
         )
     );
-    let (hash, version, ancestors) = server.graph_lineage("ring").unwrap();
+    let (hash, version, parents) = server.graph_lineage("ring").unwrap();
     assert_eq!(hash, graph_hash(&mutated));
     assert_eq!(version, 1);
-    assert_eq!(ancestors, vec![parent]);
+    assert_eq!(parents, vec![parent]);
 }
 
 #[test]
@@ -168,12 +168,11 @@ fn rejected_mutation_leaves_lineage_and_stats_unchanged() {
     assert_eq!(error_kind(&line), "unknown_graph");
 }
 
-/// The tentpole equivalence guarantee, per mutation op: mutate a served
-/// graph, solve it (which takes the incremental-repair path seeded by
-/// the pre-mutation solve), and require the response bytes to equal a
+/// The equivalence guarantee, per mutation op: solve a served graph,
+/// mutate it, solve it again, and require the response bytes to equal a
 /// fresh server's from-scratch solve of the same mutated topology.
 #[test]
-fn repaired_solves_are_byte_identical_to_from_scratch_solves_for_every_op() {
+fn post_mutation_solves_are_byte_identical_to_from_scratch_solves_for_every_op() {
     let base = ring_graph(24);
     let base_edges = edge_list(&base);
 
@@ -218,8 +217,7 @@ fn repaired_solves_are_byte_identical_to_from_scratch_solves_for_every_op() {
     ));
 
     for (body, expected_graph, overrides) in cases {
-        // Server A: register, solve (seeds the repair hint), mutate,
-        // solve again — the second solve runs the repair path.
+        // Server A: register, solve, mutate, solve again.
         let a = server_with(&[("g", base.clone())]);
         assert!(is_ok(&roundtrip(&a, &solve_line(1, "g"))));
         let mutate = roundtrip(
@@ -227,17 +225,11 @@ fn repaired_solves_are_byte_identical_to_from_scratch_solves_for_every_op() {
             &format!("{{\"id\":2,\"op\":\"mutate\",\"graph\":\"g\",{body}}}"),
         );
         assert!(is_ok(&mutate), "{body}: {mutate}");
-        let repaired = roundtrip(&a, &solve_line(3, "g"));
-        assert!(is_ok(&repaired), "{body}: {repaired}");
-        let stats = a.stats();
-        assert_eq!(
-            stats.repairs + stats.repair_fallbacks,
-            1,
-            "{body}: post-mutation solve must take the repair path"
-        );
+        let mutated = roundtrip(&a, &solve_line(3, "g"));
+        assert!(is_ok(&mutated), "{body}: {mutated}");
 
         // Server B: the mutated topology registered fresh — no history,
-        // no hints, a cold cache.
+        // a cold cache.
         let b = Server::new(ServerConfig {
             capacity: 8,
             batch_window: Duration::ZERO,
@@ -248,9 +240,9 @@ fn repaired_solves_are_byte_identical_to_from_scratch_solves_for_every_op() {
         let b = Arc::new(b);
         let scratch = roundtrip(&b, &solve_line(3, "g"));
         assert_eq!(
-            result_of(&repaired),
+            result_of(&mutated),
             result_of(&scratch),
-            "{body}: repaired solve must be byte-identical to from-scratch"
+            "{body}: post-mutation solve must be byte-identical to from-scratch"
         );
 
         // And the lineage agrees: server A's live hash is exactly the
@@ -260,6 +252,30 @@ fn repaired_solves_are_byte_identical_to_from_scratch_solves_for_every_op() {
             versioned_graph_hash(&expected_graph, &overrides),
             "{body}"
         );
+    }
+}
+
+/// Per-graph lineage state stays bounded however long the churn runs:
+/// after a long chain of accepted mutations the graph remembers only
+/// its immediate parent.
+#[test]
+fn lineage_holds_only_the_parent_after_a_long_mutation_chain() {
+    let server = server_with(&[("ring", ring_graph(24))]);
+    let mut previous = server.graph_lineage("ring").unwrap().0;
+    // Twelve distinct diameter chords (u, u + 12), none already present.
+    for u in 0..12u32 {
+        let line = roundtrip(
+            &server,
+            &format!(
+                "{{\"id\":{u},\"op\":\"mutate\",\"graph\":\"ring\",\"action\":\"add_edge\",\"u\":{u},\"v\":{}}}",
+                u + 12
+            ),
+        );
+        assert!(is_ok(&line), "{line}");
+        let (hash, version, parents) = server.graph_lineage("ring").unwrap();
+        assert_eq!(version, u64::from(u) + 1);
+        assert_eq!(parents, vec![previous]);
+        previous = hash;
     }
 }
 

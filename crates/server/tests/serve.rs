@@ -595,6 +595,43 @@ fn stats_op_reports_counters_inline() {
     assert_eq!(v.get("requests").unwrap().as_int().unwrap(), 2);
 }
 
+/// The whole `stats` result line — field names, order and values —
+/// after a fixed request sequence that touches every counter class:
+/// a miss, a hit, a mutation retiring one entry, a post-mutation solve
+/// and a typed error.
+#[test]
+fn stats_op_payload_is_pinned_byte_for_byte() {
+    let server = make_server(ServerConfig {
+        batch_window: Duration::ZERO,
+        ..ServerConfig::default()
+    });
+    let (buf, sink) = sink();
+    let requests = [
+        r#"{"id":1,"op":"ping"}"#,
+        r#"{"id":2,"op":"solve","graph":"ring","alg":"greedy","b":3}"#,
+        r#"{"id":3,"op":"solve","graph":"ring","alg":"greedy","b":3}"#,
+        r#"{"id":4,"op":"mutate","graph":"ring","action":"add_edge","u":0,"v":12}"#,
+        r#"{"id":5,"op":"solve","graph":"ring","alg":"greedy","b":3}"#,
+        r#"{"id":6,"op":"solve","graph":"ghost","alg":"greedy","b":3}"#,
+    ];
+    for (i, line) in requests.iter().enumerate() {
+        server.handle_line(line, &sink);
+        wait_lines(&buf, i + 1);
+    }
+    // A job writes its response before releasing its in-flight slot.
+    let start = Instant::now();
+    while server.stats().inflight > 0 {
+        assert!(start.elapsed() < Duration::from_secs(20));
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.handle_line(r#"{"id":7,"op":"stats"}"#, &sink);
+    let responses = wait_lines(&buf, requests.len() + 1);
+    assert_eq!(
+        responses[requests.len()],
+        "{\"id\":7,\"ok\":true,\"result\":{\"batch_joined\":0,\"cache_bytes\":228,\"cache_entries\":1,\"cache_evictions\":0,\"cache_hits\":1,\"cache_misses\":2,\"connections\":0,\"deadline_expired\":0,\"errors\":1,\"inflight\":0,\"lineage_invalidations\":1,\"mutations\":1,\"overloads\":0,\"requests\":7,\"shed_join\":0,\"shed_miss\":0,\"solves\":2}}"
+    );
+}
+
 /// A `Write` adapter over a shared byte buffer, used as an access-log
 /// sink in tests.
 struct SharedLog(Arc<Mutex<Vec<u8>>>);

@@ -856,7 +856,10 @@ fn scrape_snapshot(
     id: u64,
 ) -> Result<domatic_telemetry::Snapshot, String> {
     use std::io::{BufRead, Write};
-    writeln!(stream, "{{\"id\":{id},\"op\":\"metrics\"}}").map_err(|e| e.to_string())?;
+    let request = format!("{{\"id\":{id},\"op\":\"metrics\"}}\n");
+    stream
+        .write_all(request.as_bytes())
+        .map_err(|e| e.to_string())?;
     let mut line = String::new();
     if reader.read_line(&mut line).map_err(|e| e.to_string())? == 0 {
         return Err("server closed the connection".into());
@@ -906,6 +909,8 @@ fn cmd_top(rest: &[String]) {
         eprintln!("cannot connect to {addr}: {e}");
         std::process::exit(1);
     });
+    // Small request lines must not wait out Nagle's delayed-ACK stall.
+    let _ = stream.set_nodelay(true);
     let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
     let mut stream = stream;
     let mut prev: Option<domatic_telemetry::Snapshot> = None;
@@ -1014,9 +1019,13 @@ fn cmd_profile(rest: &[String]) {
         eprintln!("cannot connect to {addr}: {e}");
         std::process::exit(1);
     });
+    // Small request lines must not wait out Nagle's delayed-ACK stall.
+    let _ = stream.set_nodelay(true);
     let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
     let mut stream = stream;
-    writeln!(stream, "{{\"id\":1,\"op\":\"profile\"}}").expect("write request");
+    stream
+        .write_all(b"{\"id\":1,\"op\":\"profile\"}\n")
+        .expect("write request");
     let mut line = String::new();
     reader.read_line(&mut line).expect("read response");
     let v = domatic_telemetry::json::parse(line.trim()).unwrap_or_else(|e| {
@@ -1630,6 +1639,8 @@ impl ScenarioClient {
             eprintln!("cannot connect to {addr}: {e}");
             std::process::exit(1);
         });
+        // Small request lines must not wait out Nagle's delayed-ACK stall.
+        let _ = stream.set_nodelay(true);
         let reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
         ScenarioClient {
             stream,
@@ -1644,10 +1655,13 @@ impl ScenarioClient {
         use std::io::{BufRead, Write};
         self.next_id += 1;
         let start = std::time::Instant::now();
-        writeln!(self.stream, "{{\"id\":{},{body}}}", self.next_id).unwrap_or_else(|e| {
-            eprintln!("scenario: write failed: {e}");
-            std::process::exit(1);
-        });
+        let request = format!("{{\"id\":{},{body}}}\n", self.next_id);
+        self.stream
+            .write_all(request.as_bytes())
+            .unwrap_or_else(|e| {
+                eprintln!("scenario: write failed: {e}");
+                std::process::exit(1);
+            });
         let mut line = String::new();
         match self.reader.read_line(&mut line) {
             Ok(0) => {
