@@ -34,8 +34,6 @@ use crate::csr::{Graph, NodeId};
 use crate::nodeset::NodeSet;
 use domatic_telemetry::count;
 use rayon::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Node count from which whole-graph predicates lazily build the bitmask
 /// rows on first use. Below this the build cost cannot amortize within a
@@ -285,38 +283,26 @@ fn greedy_impl(g: &Graph, alive: &NodeSet, bits: Option<&NeighborhoodBits>) -> O
     let n = g.n();
     let mut covered = NodeSet::new(n);
     let mut chosen = NodeSet::new(n);
-    // gain[v] = number of currently uncovered nodes in N⁺(v), for alive v.
-    let mut gain: Vec<usize> = (0..n as NodeId)
-        .map(|v| {
-            if alive.contains(v) {
-                g.closed_degree(v)
-            } else {
-                0
-            }
-        })
-        .collect();
-    // Lazy-decrement max-heap over (gain, lowest-id-wins). Gains only
-    // decrease, so an entry is pushed whenever a gain drops to a new
-    // (positive) level and stale entries — whose recorded gain no longer
-    // matches `gain[v]` — are discarded on pop. Total work is
-    // O((n + m) log n) versus the previous O(n · |D|) full rescan per
-    // round. `Reverse(v)` makes the heap break gain ties toward the
-    // smallest id, exactly matching the scan it replaces.
-    let mut heap: BinaryHeap<(usize, Reverse<NodeId>)> = (0..n as NodeId)
-        .filter(|&v| gain[v as usize] > 0)
-        .map(|v| (gain[v as usize], Reverse(v)))
-        .collect();
+    // The gain of v is the number of currently uncovered nodes in N⁺(v)
+    // for alive, unchosen v, and 0 otherwise, so a positive gain alone
+    // marks a candidate. The gains live in the leaves of a max-tournament
+    // tree whose leftmost maximum is the next pick: highest gain, ties
+    // toward the lowest id. Each pick and each decrement walks up only
+    // until an ancestor's max is unchanged, there are no stale entries to
+    // skip, and the tree is O(n) words however large the gains grow.
+    let mut gains = GainTree::new(n, |v| {
+        if alive.contains(v) {
+            g.closed_degree(v) as u32
+        } else {
+            0
+        }
+    });
     let mut num_covered = 0usize;
     let mut newly: Vec<NodeId> = Vec::new();
     while num_covered < n {
-        let v = loop {
-            let (gv, Reverse(v)) = heap.pop()?;
-            if gain[v as usize] == gv {
-                break v;
-            }
-        };
+        let v = gains.leftmost_max()?;
         chosen.insert(v);
-        gain[v as usize] = 0;
+        gains.set(v, 0);
         // Collect the newly covered nodes of N⁺(v). The multiset of gain
         // decrements below is order-independent, so the word-parallel path
         // (ascending bit order) and the scalar path (v first, then sorted
@@ -348,21 +334,78 @@ fn greedy_impl(g: &Graph, alive: &NodeSet, bits: Option<&NeighborhoodBits>) -> O
         for &u in &newly {
             covered.insert(u);
             num_covered += 1;
-            let decrement = |w: NodeId, gain: &mut Vec<usize>, heap: &mut BinaryHeap<_>| {
-                if alive.contains(w) && gain[w as usize] > 0 {
-                    gain[w as usize] -= 1;
-                    if gain[w as usize] > 0 {
-                        heap.push((gain[w as usize], Reverse(w)));
-                    }
-                }
-            };
-            decrement(u, &mut gain, &mut heap);
+            gains.decrement(u);
             for &w in g.neighbors(u) {
-                decrement(w, &mut gain, &mut heap);
+                gains.decrement(w);
             }
         }
     }
     Some(chosen)
+}
+
+/// Flat max-tournament tree over node ids, the priority structure of
+/// [`greedy_impl`]. Leaf `size + v` holds the gain of node `v` (leaves past
+/// `n` stay 0) and inner node `i` the max of its children `2i` and `2i + 1`,
+/// so the root `t[1]` is the largest gain. `size` is `n` rounded up to a
+/// power of two; the tree is `2·size` words.
+struct GainTree {
+    size: usize,
+    t: Vec<u32>,
+}
+
+impl GainTree {
+    fn new(n: usize, gain: impl Fn(NodeId) -> u32) -> Self {
+        let size = n.next_power_of_two();
+        let mut t = vec![0u32; 2 * size];
+        for v in 0..n {
+            t[size + v] = gain(v as NodeId);
+        }
+        for i in (1..size).rev() {
+            t[i] = t[2 * i].max(t[2 * i + 1]);
+        }
+        GainTree { size, t }
+    }
+
+    /// The lowest id holding the largest gain, or `None` if every gain is 0.
+    fn leftmost_max(&self) -> Option<NodeId> {
+        let max = self.t[1];
+        if max == 0 {
+            return None;
+        }
+        let mut i = 1;
+        while i < self.size {
+            i *= 2;
+            if self.t[i] != max {
+                i += 1;
+            }
+        }
+        Some((i - self.size) as NodeId)
+    }
+
+    /// Lowers a positive gain by one; a zero gain (dead, chosen, or
+    /// fully covered) stays 0.
+    #[inline]
+    fn decrement(&mut self, v: NodeId) {
+        let gain = self.t[self.size + v as usize];
+        if gain > 0 {
+            self.set(v, gain - 1);
+        }
+    }
+
+    /// Sets `v`'s gain and restores the max invariant upward, stopping at
+    /// the first ancestor whose max is unchanged.
+    fn set(&mut self, v: NodeId, gain: u32) {
+        let mut i = self.size + v as usize;
+        self.t[i] = gain;
+        while i > 1 {
+            i /= 2;
+            let max = self.t[2 * i].max(self.t[2 * i + 1]);
+            if self.t[i] == max {
+                break;
+            }
+            self.t[i] = max;
+        }
+    }
 }
 
 /// Reduces a dominating set to a *minimal* one by dropping redundant nodes
@@ -616,6 +659,23 @@ mod tests {
         let g = Graph::empty(2);
         let alive = NodeSet::from_iter(2, [0]);
         assert!(greedy_dominating_set(&g, &alive).is_none());
+    }
+
+    #[test]
+    fn greedy_priority_memory_does_not_scale_with_max_gain() {
+        // A 2^18-node star has a hub of gain 2^18: any priority structure
+        // sized by (max gain) × n — one bitset per gain level, say — would
+        // allocate gigabytes here, while the tournament tree is 2^19 words.
+        let n = 1usize << 18;
+        let g = star(n);
+        let start = std::time::Instant::now();
+        let ds = greedy_dominating_set(&g, &NodeSet::full(n)).unwrap();
+        assert_eq!(ds.to_vec(), vec![0]);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Kernel equivalence proptests: the bitset (word-parallel) domination
 //! kernels must be bit-identical to the scalar CSR walk on every
 //! randomized input — counts, predicates, uncovered lists, greedy
-//! choices, and the d-hop generalization.
+//! choices, and the d-hop generalization. The greedy extraction is also
+//! pinned against an independent rescan reference, so its tie-break is
+//! checked by something that shares none of its priority structure.
 //!
 //! Thread coverage comes from the CI test matrix, which runs this suite
 //! under `RAYON_NUM_THREADS=1` and `=4`; the forced `_bitset` variants
@@ -15,6 +17,7 @@ use domatic_graph::domination::{
     is_k_dominating_set_scalar, uncovered_nodes, uncovered_nodes_scalar,
 };
 use domatic_graph::generators::gnp::gnp;
+use domatic_graph::generators::regular::path;
 use domatic_graph::nodeset::NodeSet;
 use domatic_graph::{Graph, NodeId};
 use proptest::prelude::*;
@@ -29,6 +32,87 @@ fn arb_set(n: usize, seed: u64) -> NodeSet {
         n,
         (0..n as NodeId).filter(|v| (seed >> (v % 64)) & 1 == 1 || u64::from(*v) == seed % 97),
     )
+}
+
+/// Reference greedy: every round rescans all alive nodes for the largest
+/// count of uncovered nodes in the closed neighborhood, keeping the first
+/// (lowest-id) maximum. `None` once no alive node has a positive count
+/// while some node is still uncovered. O(n · |D|) rounds of full scans.
+fn rescan_greedy(g: &Graph, alive: &NodeSet) -> Option<NodeSet> {
+    let n = g.n();
+    let mut covered = vec![false; n];
+    let mut chosen = NodeSet::new(n);
+    let mut uncovered = n;
+    while uncovered > 0 {
+        let mut best: Option<(usize, NodeId)> = None;
+        for v in g.nodes().filter(|&v| alive.contains(v)) {
+            let count = std::iter::once(v)
+                .chain(g.neighbors(v).iter().copied())
+                .filter(|&u| !covered[u as usize])
+                .count();
+            if count > 0 && best.is_none_or(|(c, _)| count > c) {
+                best = Some((count, v));
+            }
+        }
+        let (_, v) = best?;
+        chosen.insert(v);
+        for u in std::iter::once(v).chain(g.neighbors(v).iter().copied()) {
+            if !covered[u as usize] {
+                covered[u as usize] = true;
+                uncovered -= 1;
+            }
+        }
+    }
+    Some(chosen)
+}
+
+/// All three library greedy variants, each checked against the reference.
+fn assert_greedy_matches_reference(g: &Graph, alive: &NodeSet) -> Option<NodeSet> {
+    let reference = rescan_greedy(g, alive);
+    assert_eq!(greedy_dominating_set_scalar(g, alive), reference, "scalar");
+    assert_eq!(greedy_dominating_set_bitset(g, alive), reference, "bitset");
+    assert_eq!(greedy_dominating_set(g, alive), reference, "auto");
+    reference
+}
+
+#[test]
+fn greedy_on_empty_and_single_node_graphs() {
+    assert_eq!(
+        assert_greedy_matches_reference(&Graph::empty(0), &NodeSet::new(0)),
+        Some(NodeSet::new(0))
+    );
+    let one = Graph::empty(1);
+    assert_eq!(
+        assert_greedy_matches_reference(&one, &NodeSet::full(1)),
+        Some(NodeSet::full(1))
+    );
+    assert_eq!(
+        assert_greedy_matches_reference(&one, &NodeSet::new(1)),
+        None
+    );
+}
+
+#[test]
+fn greedy_tie_break_off_a_power_of_two() {
+    // P7: picks 1 (gain 3, lowest of 1..=5), then 4 (gain 3), then 5 over
+    // 6 (both gain 1 for the last uncovered node 6).
+    let ds = assert_greedy_matches_reference(&path(7), &NodeSet::full(7)).unwrap();
+    assert_eq!(ds.to_vec(), vec![1, 4, 5]);
+    // A 6-node star centred on the highest id: the winner sits in the last
+    // real leaf of the padded tree.
+    let g = Graph::from_edges(6, &[(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]);
+    let ds = assert_greedy_matches_reference(&g, &NodeSet::full(6)).unwrap();
+    assert_eq!(ds.to_vec(), vec![5]);
+}
+
+#[test]
+fn greedy_fails_on_all_dead_or_isolated_dead_nodes() {
+    let g = path(5);
+    assert_eq!(assert_greedy_matches_reference(&g, &NodeSet::new(5)), None);
+    // Node 2 is isolated and dead: nothing can cover it.
+    let g = Graph::from_edges(3, &[(0, 1)]);
+    let alive = NodeSet::from_iter(3, [0, 1]);
+    assert_eq!(assert_greedy_matches_reference(&g, &alive), None);
 }
 
 proptest! {
@@ -72,10 +156,7 @@ proptest! {
 
     #[test]
     fn greedy_chooses_identical_sets(g in arb_graph(), mask in 0u64..u64::MAX) {
-        let alive = arb_set(g.n(), mask);
-        let scalar = greedy_dominating_set_scalar(&g, &alive);
-        prop_assert_eq!(greedy_dominating_set_bitset(&g, &alive), scalar.clone());
-        prop_assert_eq!(greedy_dominating_set(&g, &alive), scalar);
+        assert_greedy_matches_reference(&g, &arb_set(g.n(), mask));
     }
 
     #[test]

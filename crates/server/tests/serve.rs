@@ -285,6 +285,22 @@ fn bad_requests_get_typed_errors_without_occupying_capacity() {
 }
 
 #[test]
+fn deeply_nested_request_is_a_bad_request_and_the_server_keeps_serving() {
+    // 500 000 open brackets once recursed through the parser until the
+    // thread's stack overflowed and took the whole process down.
+    let server = make_server(ServerConfig::default());
+    let (buf, sink) = sink();
+    server.handle_line(&"[".repeat(500_000), &sink);
+    server.handle_line(r#"{"id":7,"op":"ping"}"#, &sink);
+    let responses = wait_lines(&buf, 2);
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert_eq!(error_kind(&responses[0]), "bad_request");
+    assert_eq!(id_of(&responses[1]), 7);
+    assert!(responses[1].contains("\"pong\":true"), "{}", responses[1]);
+    assert_eq!(server.stats().inflight, 0);
+}
+
+#[test]
 fn hops_request_serves_valid_d_hop_schedules_and_adapt_rejects_it() {
     let server = make_server(ServerConfig {
         capacity: 8,

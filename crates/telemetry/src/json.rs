@@ -135,13 +135,18 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Every document this
+/// workspace writes or serves nests a handful of levels; the cap keeps a
+/// hostile request line from recursing through the parsing thread's stack.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON value from `text` (whole-input; trailing non-space is
-/// an error). Recursive descent, no recursion-depth guard beyond the
-/// stack — inputs here are the sink's own output.
+/// an error). Recursive descent; nesting deeper than 64 arrays and
+/// objects is rejected with an `Err` before it can exhaust the stack.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -164,8 +169,12 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open containers.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -181,7 +190,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -206,7 +215,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -361,5 +370,19 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize, open: &str, inner: &str, close: &str| {
+            format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest(MAX_DEPTH, "[", "1", "]")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH, "{\"a\":", "1", "}")).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1, "[", "", "]")).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        assert!(parse(&nest(MAX_DEPTH + 1, "{\"a\":", "1", "}")).is_err());
+        // Far past any stack: rejected, not a crash.
+        assert!(parse(&"[".repeat(500_000)).is_err());
     }
 }
