@@ -23,16 +23,12 @@
 //! shard's ready list, then wake the shard's epoll via its
 //! [`mio::Waker`]. All socket reads and writes happen on the shard.
 
+use crate::server::lock;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Locks absorbing poison, same policy as the serve runtime.
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Mutex};
 
 /// State one shard shares with pool workers completing its requests
 /// (and with the acceptor handing it fresh connections).

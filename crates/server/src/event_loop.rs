@@ -25,17 +25,13 @@
 //! [`Server::serve_tcp`]: crate::server::Server::serve_tcp
 
 use crate::conn::{Conn, OutQueue, ShardShared, SlotSink, MAX_LINE_BYTES};
-use crate::server::Server;
+use crate::server::{lock, Server};
 use std::io::Read;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Token reserved for each shard's waker eventfd; connection tokens are
 /// slab indices, which can never reach it.

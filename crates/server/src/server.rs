@@ -13,22 +13,23 @@
 //!    above `capacity` in-flight jobs the request is rejected with a
 //!    typed `overloaded` error — and a new batch is opened and its job
 //!    `rayon::spawn`ed onto the vendored pool.
-//! 4. The job sleeps out the remainder of the batching window (joiners
-//!    accumulate meanwhile), closes the batch, re-checks the cache, and
-//!    solves once. The rendered payload enters the LRU cache and fans
-//!    out to every waiter; waiters whose deadline passed get a typed
-//!    `deadline` error instead, and if *all* waiters expired the solve
-//!    is skipped entirely.
+//! 4. The job re-checks the cache and solves once; the rendered payload
+//!    enters the LRU cache. Only then is the batch closed, so an
+//!    identical request arriving while the solve runs joins it, and one
+//!    arriving later hits the cache. The payload fans out to every
+//!    waiter; waiters whose deadline passed get a typed `deadline` error
+//!    instead, and if *all* waiters expired the solve is skipped
+//!    entirely.
 //!
 //! Every solver is deterministic at a fixed seed and payloads are
 //! rendered with a fixed field order, so the bytes a waiter receives do
 //! not depend on thread count, batching, or cache state.
 //!
-//! A closed batch and its not-yet-cached solve leave a small window in
-//! which an identical request opens a second batch and re-solves; the
-//! result is byte-identical and the cache insert idempotent, so the only
-//! cost is one redundant solve — accepted to keep the pending table a
-//! plain map under a plain lock.
+//! Because a batch stays open until its result is cached, identical
+//! requests never run two solves: each joins the open batch or hits the
+//! cache. A key is solved again only once its result has left the cache
+//! or never entered it: after an eviction, a refused insert (the graph
+//! version was retired meanwhile), or a solve error.
 
 use crate::cache::SolveCache;
 use crate::protocol::{self, Op, Request};
@@ -55,8 +56,9 @@ pub type ResponseSink = Arc<Mutex<dyn Write + Send>>;
 
 /// Locks absorbing poison: the server must keep serving even if some
 /// earlier holder panicked mid-section (sections below never leave
-/// state half-updated across a panic boundary).
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// state half-updated across a panic boundary). Shared by every module
+/// of the crate.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -74,9 +76,6 @@ pub struct ServerConfig {
     /// Maximum solve jobs in flight; admission beyond this returns a
     /// typed `overloaded` error (bounded-queue backpressure).
     pub capacity: usize,
-    /// How long a freshly opened batch stays open for identical
-    /// requests to coalesce into it. Zero disables batching.
-    pub batch_window: Duration,
     /// Byte budget of the LRU solve cache.
     pub cache_bytes: usize,
     /// Requests whose total latency reaches this many milliseconds get
@@ -93,9 +92,11 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Second load-shedding tier: once this many batch waiters are
     /// queued server-wide, even joins to open batches are rejected
-    /// (`shed_tier: "join"`). The first tier (`"miss"`) sheds cache-miss
-    /// traffic at `capacity`; cache hits are never shed. The default is
-    /// high enough that only pathological fan-in reaches it.
+    /// (`shed_tier: "join"`). A waiter stays queued from admission until
+    /// its batch's result is cached, so this counts every request waiting
+    /// on a queued or running solve. The first tier (`"miss"`) sheds
+    /// cache-miss traffic at `capacity`; cache hits are never shed. The
+    /// default is high enough that only pathological fan-in reaches it.
     pub shed_join_waiters: usize,
 }
 
@@ -103,7 +104,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             capacity: 64,
-            batch_window: Duration::from_millis(2),
             cache_bytes: 16 << 20,
             slow_ms: None,
             trace_ring: 256,
@@ -224,9 +224,9 @@ impl Waiter {
     }
 }
 
-/// One open coalescing batch: the waiters accumulated for a solve key.
+/// One open coalescing batch: the waiters accumulated for a solve key
+/// from the miss that opened it until its result is cached.
 struct Batch {
-    created: Instant,
     waiters: Mutex<Vec<Waiter>>,
 }
 
@@ -260,6 +260,9 @@ pub struct Server {
     /// Batch waiters currently queued server-wide (batch leaders and
     /// joiners alike); drives the `"join"` shed tier.
     queued_waiters: AtomicU64,
+    /// Wakes `serve_tcp`'s accept poll when a `shutdown` op arrives;
+    /// `None` outside `serve_tcp`.
+    acceptor: Mutex<Option<mio::Waker>>,
     /// Live TCP connections across all shards.
     connections: AtomicU64,
     /// Monotone connection-id source for trace events.
@@ -284,6 +287,7 @@ impl Server {
             shutdown_requested: AtomicBool::new(false),
             counters: Counters::default(),
             queued_waiters: AtomicU64::new(0),
+            acceptor: Mutex::new(None),
             connections: AtomicU64::new(0),
             conn_ids: AtomicU64::new(0),
         }
@@ -400,11 +404,7 @@ impl Server {
         self.accepting.store(false, Ordering::Release);
         let mut inflight = lock(&self.inflight);
         while *inflight > 0 {
-            let (guard, _) = self
-                .idle
-                .wait_timeout(inflight, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner());
-            inflight = guard;
+            inflight = self.idle.wait(inflight).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -447,6 +447,9 @@ impl Server {
             Op::Shutdown => {
                 self.accepting.store(false, Ordering::Release);
                 self.shutdown_requested.store(true, Ordering::Release);
+                if let Some(waker) = &*lock(&self.acceptor) {
+                    let _ = waker.wake();
+                }
                 self.respond(sink, &protocol::ok_line(req.id, "{\"draining\":true}"));
                 true
             }
@@ -721,7 +724,6 @@ impl Server {
         bump(&self.counters.cache_misses, "server.cache.miss", 1);
         self.tracer.event(&rt, "cache_miss");
         let batch = Arc::new(Batch {
-            created: Instant::now(),
             waiters: Mutex::new(vec![waiter]),
         });
         self.queued_waiters.fetch_add(1, Ordering::Relaxed);
@@ -730,58 +732,38 @@ impl Server {
 
         let server = Arc::clone(self);
         rayon::spawn(move || {
-            server.run_job(spec, batch);
+            server.run_job(spec, batch, rt);
         });
     }
 
-    /// The spawned half: wait out the batching window, close the batch,
-    /// solve once, cache, fan out. Runs on a vendored-rayon pool worker;
-    /// the solver's own parallel iterators nest inside it.
-    fn run_job(self: &Arc<Self>, spec: JobSpec, batch: Arc<Batch>) {
-        if let Some(rest) = self.cfg.batch_window.checked_sub(batch.created.elapsed()) {
-            if !rest.is_zero() {
-                std::thread::sleep(rest);
-            }
-        }
-        // Close the batch: joiners either got in before this removal or
-        // will open a fresh batch (and hit the cache once we fill it).
-        let waiters: Vec<Waiter> = {
-            let mut pending = lock(&self.pending);
-            pending.remove(&spec.key);
-            std::mem::take(&mut *lock(&batch.waiters))
-        };
-        self.queued_waiters
-            .fetch_sub(waiters.len() as u64, Ordering::Relaxed);
-
+    /// The spawned half: re-check the cache, solve once, cache, then
+    /// close the batch and fan out. Runs on a vendored-rayon pool worker;
+    /// the solver's own parallel iterators nest inside it. Phase events go
+    /// to `leader`, the trace of the request that opened the batch.
+    fn run_job(self: &Arc<Self>, spec: JobSpec, batch: Arc<Batch>, leader: Arc<ReqTrace>) {
         // A prior batch may have filled the key between this leader's
-        // admission miss and now. The solve/render phase timing belongs
-        // to the batch: it is recorded against the leader's trace events
-        // and stamped into every waiter's completion record.
-        let leader = waiters.first().map(|w| Arc::clone(&w.trace));
+        // admission miss and now.
         let cached = lock(&self.cache).get(spec.key);
         let mut solve_us = 0u64;
         let mut render_us = 0u64;
         let outcome: Result<Arc<str>, DomaticError> = match cached {
             Some(payload) => {
-                if let Some(rt) = &leader {
-                    self.tracer.event(rt, "cache_hit");
-                }
+                self.tracer.event(&leader, "cache_hit");
                 Ok(payload)
             }
-            None if waiters.iter().all(Waiter::expired) => {
-                // Nobody is left to receive the result: skip the solve and
-                // keep serving. (There is always at least the opener.)
-                self.finish(&waiters, None, 0, 0);
-                return;
-            }
             None => {
-                if let Some(rt) = &leader {
-                    self.tracer.event(rt, "solve_start");
+                // Nobody is left to receive the result: skip the solve and
+                // keep serving. Deciding and closing under one lock means a
+                // late joiner either keeps the batch open or finds it gone.
+                if let Some(waiters) =
+                    self.close_batch_if(spec.key, &batch, |ws| ws.iter().all(Waiter::expired))
+                {
+                    self.finish(&waiters, None, 0, 0);
+                    return;
                 }
+                self.tracer.event(&leader, "solve_start");
                 let computed = self.compute(&spec);
-                if let Some(rt) = &leader {
-                    self.tracer.event(rt, "solve_end");
-                }
+                self.tracer.event(&leader, "solve_end");
                 computed.map(|(payload, s_us, r_us)| {
                     solve_us = s_us;
                     render_us = r_us;
@@ -790,9 +772,7 @@ impl Server {
                         &[("alg", &spec.req.alg), ("graph", &spec.req.graph)],
                         s_us,
                     );
-                    if let Some(rt) = &leader {
-                        self.tracer.event(rt, "rendered");
-                    }
+                    self.tracer.event(&leader, "rendered");
                     let payload: Arc<str> = payload.into();
                     bump(&self.counters.solves, "server.solves", 1);
                     let (evicted, bytes) = {
@@ -812,7 +792,35 @@ impl Server {
                 })
             }
         };
+        // Close only now that the result is cached: identical requests
+        // that arrived during the solve joined it, later ones hit.
+        let waiters = self
+            .close_batch_if(spec.key, &batch, |_| true)
+            .unwrap_or_default();
         self.finish(&waiters, Some(outcome), solve_us, render_us);
+    }
+
+    /// Closes `batch` if `close` holds for its waiters. Deciding,
+    /// removing `key` from the pending table and taking the waiters share
+    /// one critical section (pending, then the batch), so an identical
+    /// request either joined before the close or finds no batch. `None`
+    /// leaves the batch open.
+    fn close_batch_if(
+        &self,
+        key: u64,
+        batch: &Batch,
+        close: impl FnOnce(&[Waiter]) -> bool,
+    ) -> Option<Vec<Waiter>> {
+        let mut pending = lock(&self.pending);
+        let mut waiters = lock(&batch.waiters);
+        if !close(&waiters) {
+            return None;
+        }
+        pending.remove(&key);
+        let taken = std::mem::take(&mut *waiters);
+        self.queued_waiters
+            .fetch_sub(taken.len() as u64, Ordering::Relaxed);
+        Some(taken)
     }
 
     /// Fans a job outcome out to its waiters (deadline-checked per
@@ -951,33 +959,44 @@ impl Server {
     }
 
     /// Serves JSON-lines over TCP on an evented, sharded readiness
-    /// architecture: this thread accepts and hands each connection to
-    /// one of `cfg.shards` epoll event loops, which own their
-    /// connections end to end (non-blocking reads, incremental framing,
-    /// write-interest-driven flushing). Requests pipelined on one
-    /// connection are answered in receipt order. Returns after a
-    /// `shutdown` request has been received, in-flight work has drained,
-    /// and every shard thread has flushed, closed its connections, and
-    /// been joined — no detached threads outlive this call.
+    /// architecture: this thread blocks in an epoll wait on the listener
+    /// and hands each accepted connection to one of `cfg.shards` epoll
+    /// event loops, which own their connections end to end (non-blocking
+    /// reads, incremental framing, write-interest-driven flushing).
+    /// Requests pipelined on one connection are answered in receipt
+    /// order. A `shutdown` request wakes the accept wait; this returns
+    /// after in-flight work has drained and every shard thread has
+    /// flushed, closed its connections, and been joined — no detached
+    /// threads outlive this call.
     pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
-        let shards = crate::event_loop::spawn_shards(self, self.cfg.shards.max(1))?;
+        let poll = mio::Poll::new()?;
+        *lock(&self.acceptor) = Some(mio::Waker::new(&poll, mio::Token(1))?);
         listener.set_nonblocking(true)?;
+        poll.register(&listener, mio::Token(0), mio::Interest::READABLE)?;
+        let shards = crate::event_loop::spawn_shards(self, self.cfg.shards.max(1))?;
+        let mut events = mio::Events::with_capacity(2);
         let mut next = 0usize;
+        // The waker is installed before the first check, so a shutdown is
+        // either seen here or wakes the wait. Polling is level-triggered:
+        // one accept per wakeup leaves any backlog to the next wait.
         while !self.shutdown_requested() {
-            match listener.accept() {
+            match poll
+                .poll(&mut events, None)
+                .and_then(|()| listener.accept())
+            {
                 Ok((stream, _addr)) => {
                     shards[next].shared.hand_off(stream);
                     next = (next + 1) % shards.len();
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                // Woken by `shutdown` with no connection pending.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(e) => {
                     crate::event_loop::finish_and_join(shards);
                     return Err(e);
                 }
             }
         }
+        lock(&self.acceptor).take();
         // Close the listening socket before draining so new connects are
         // refused while in-flight work completes.
         drop(listener);
@@ -1159,6 +1178,6 @@ fn render_stats(s: &ServerStatsSnapshot) -> String {
     )
 }
 
-fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     domatic_telemetry::json::Json::Str(s.to_string()).render()
 }

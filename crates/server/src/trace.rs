@@ -21,20 +21,13 @@
 //! `--access-log` is given, and the slow-request dump only when
 //! `--slow-ms` is set.
 
+use crate::server::{json_str, lock};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn json_str(s: &str) -> String {
-    domatic_telemetry::json::Json::Str(s.to_string()).render()
-}
 
 /// One completed request, as kept in the tracer's ring buffer and
 /// returned by the `profile` op.
@@ -56,7 +49,7 @@ pub struct TraceRecord {
     pub t0_us: u64,
     /// Received → written, µs.
     pub total_us: u64,
-    /// Time not accounted to solve or render (admission, batch window,
+    /// Time not accounted to solve or render (admission, pool queueing,
     /// fan-out), µs.
     pub queue_us: u64,
     /// Solver time of the batch that served this request, µs.

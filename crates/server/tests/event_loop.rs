@@ -53,11 +53,15 @@ fn sink() -> (Arc<Mutex<Vec<u8>>>, ResponseSink) {
     (buf, dyn_sink)
 }
 
+fn lines(buf: &Arc<Mutex<Vec<u8>>>) -> Vec<String> {
+    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+    text.lines().map(str::to_string).collect()
+}
+
 fn wait_lines(buf: &Arc<Mutex<Vec<u8>>>, n: usize) -> Vec<String> {
     let start = Instant::now();
     loop {
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let have: Vec<String> = text.lines().map(str::to_string).collect();
+        let have = lines(buf);
         if have.len() >= n {
             return have;
         }
@@ -67,6 +71,15 @@ fn wait_lines(buf: &Arc<Mutex<Vec<u8>>>, n: usize) -> Vec<String> {
             have.len()
         );
         std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Polls `done` until it holds (bounded).
+fn wait_until(done: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !done() {
+        assert!(start.elapsed() < Duration::from_secs(20), "timed out");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -103,7 +116,6 @@ fn pipelined_workload() -> Vec<String> {
 fn pipelined_requests_answer_in_receipt_order_byte_identically() {
     let cfg = ServerConfig {
         capacity: 16,
-        batch_window: Duration::from_millis(5),
         cache_bytes: 1 << 20,
         shards: 2,
         ..ServerConfig::default()
@@ -159,25 +171,34 @@ fn pipelined_requests_answer_in_receipt_order_byte_identically() {
 fn cache_hits_serve_while_misses_shed_at_saturated_capacity() {
     let server = make_server(ServerConfig {
         capacity: 1,
-        batch_window: Duration::from_millis(400),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
+    let (held_buf, held_sink) = sink();
     let (buf, sink) = sink();
     let warm = r#"{"id":1,"op":"bounds","graph":"ring","b":3}"#;
     server.handle_line(warm, &sink);
     let warmed = wait_lines(&buf, 1);
     assert!(warmed[0].contains("\"ok\":true"), "{warmed:?}");
+    // The warming job writes its response before releasing its slot.
+    wait_until(|| server.stats().inflight == 0);
 
-    // Saturate the single slot with a slow batch (different key).
+    // Saturate the single slot with a job (different key) whose fan-out
+    // blocks on its held sink: the slot is released only after fan-out.
+    let held = held_buf.lock().unwrap();
     server.handle_line(
         r#"{"id":2,"op":"solve","graph":"ring","alg":"greedy","b":3}"#,
-        &sink,
+        &held_sink,
     );
     // A fresh miss (third key) is shed at tier "miss"...
     server.handle_line(r#"{"id":3,"op":"bounds","graph":"ring2","b":2}"#, &sink);
-    let responses = wait_lines(&buf, 2);
-    let shed = responses.iter().find(|l| id_of(l) == 3).unwrap();
+    // ...while the warmed key still serves from cache. Both answers are
+    // synchronous.
+    server.handle_line(warm, &sink);
+    let responses = lines(&buf);
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    let shed = &responses[1];
+    assert_eq!(id_of(shed), 3);
     let v = json::parse(shed).unwrap();
     let error = v.get("error").expect("shed response is an error");
     assert_eq!(
@@ -189,38 +210,49 @@ fn cache_hits_serve_while_misses_shed_at_saturated_capacity() {
         Some("miss"),
         "{shed}"
     );
-    // ...while the warmed key still serves from cache, bytes identical
-    // to the warming response.
-    server.handle_line(warm, &sink);
-    let responses = wait_lines(&buf, 3);
-    let hits: Vec<&String> = responses.iter().filter(|l| id_of(l) == 1).collect();
-    assert_eq!(hits.len(), 2, "cache hit served under saturation");
-    assert_eq!(hits[0], hits[1], "hit must be byte-identical");
+    assert_eq!(responses[2], responses[0], "hit must be byte-identical");
+    assert_eq!(server.stats().inflight, 1);
+    drop(held);
 
     server.drain();
+    assert_eq!(wait_lines(&held_buf, 1).len(), 1);
     let stats = server.stats();
     assert_eq!(stats.shed_miss, 1);
     assert_eq!(stats.shed_join, 0);
     assert_eq!(stats.overloads, 1);
-    assert!(stats.cache_hits >= 1);
+    assert_eq!(stats.cache_hits, 1);
 }
 
 #[test]
 fn severe_waiter_pressure_sheds_even_batch_joins() {
+    // Occupy every pool worker: each of these jobs solves, closes its
+    // batch, then blocks fanning out to its held sink.
+    let workers = rayon::current_num_threads();
     let server = make_server(ServerConfig {
-        capacity: 8,
-        batch_window: Duration::from_millis(300),
+        capacity: workers + 1,
         cache_bytes: 1 << 20,
         shed_join_waiters: 1,
         ..ServerConfig::default()
     });
+    let held: Vec<_> = (0..workers).map(|_| sink()).collect();
+    let guards: Vec<_> = held.iter().map(|(buf, _)| buf.lock().unwrap()).collect();
+    for (seed, (_, held_sink)) in held.iter().enumerate() {
+        let line = format!(
+            "{{\"id\":{seed},\"op\":\"solve\",\"graph\":\"ring\",\"alg\":\"greedy\",\"b\":3,\"seed\":{seed}}}"
+        );
+        server.handle_line(&line, held_sink);
+    }
+    // Once all of them have solved, no worker is free...
+    wait_until(|| server.stats().solves == workers as u64);
     let (buf, sink) = sink();
-    let line = r#"{"id":1,"op":"solve","graph":"ring","alg":"greedy","b":3}"#;
-    // The leader opens a batch (1 queued waiter = the threshold)...
+    let line = r#"{"id":1,"op":"solve","graph":"ring2","alg":"greedy","b":3}"#;
+    // ...so this leader's job stays queued with its batch open (1 queued
+    // waiter = the threshold)...
     server.handle_line(line, &sink);
-    // ...so the identical request can no longer even join.
+    // ...and the identical request can no longer even join.
     server.handle_line(line, &sink);
-    let responses = wait_lines(&buf, 1);
+    let responses = lines(&buf);
+    assert_eq!(responses.len(), 1, "{responses:?}");
     let v = json::parse(&responses[0]).unwrap();
     let error = v.get("error").expect("join must be shed");
     assert_eq!(
@@ -228,18 +260,18 @@ fn severe_waiter_pressure_sheds_even_batch_joins() {
         Some("join"),
         "{responses:?}"
     );
+    drop(guards);
     server.drain();
     let stats = server.stats();
     assert_eq!(stats.shed_join, 1);
     assert_eq!(stats.batch_joined, 0);
-    assert_eq!(stats.solves, 1, "the leader still solves");
+    assert_eq!(stats.solves, workers as u64 + 1, "the leader still solves");
 }
 
 #[test]
 fn shutdown_closes_idle_connections_and_joins_all_transport_threads() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::from_millis(2),
         cache_bytes: 1 << 20,
         shards: 2,
         ..ServerConfig::default()
@@ -299,7 +331,6 @@ fn responses_are_byte_identical_across_shard_counts() {
     let run = |shards: usize| -> Vec<String> {
         let server = make_server(ServerConfig {
             capacity: 16,
-            batch_window: Duration::from_millis(2),
             cache_bytes: 1 << 20,
             shards,
             ..ServerConfig::default()
@@ -347,7 +378,6 @@ fn responses_are_byte_identical_across_shard_counts() {
 fn metrics_scrape_reports_connection_gauge_and_shard_queue_depth() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::from_millis(2),
         cache_bytes: 1 << 20,
         shards: 2,
         ..ServerConfig::default()

@@ -43,7 +43,6 @@ fn edge_list(g: &Graph) -> Vec<(u32, u32)> {
 fn server_with(graphs: &[(&str, Graph)]) -> Arc<Server> {
     let server = Server::new(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -232,7 +231,6 @@ fn post_mutation_solves_are_byte_identical_to_from_scratch_solves_for_every_op()
         // a cold cache.
         let b = Server::new(ServerConfig {
             capacity: 8,
-            batch_window: Duration::ZERO,
             cache_bytes: 1 << 20,
             ..ServerConfig::default()
         });

@@ -86,38 +86,78 @@ fn error_kind(line: &str) -> String {
 
 #[test]
 fn batched_duplicates_run_exactly_one_solve_and_fan_out_identically() {
+    // Each duplicate either joins the open batch or hits the cache the
+    // batch fills before it closes, whatever the thread interleaving: one
+    // solve, and the same bytes for every waiter and every hit.
+    const N: usize = 8;
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::from_millis(300),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
     let (buf, sink) = sink();
-    for id in 1..=4u64 {
+    for id in 1..=N {
         let line = format!(
-            "{{\"id\":{id},\"op\":\"solve\",\"graph\":\"ring\",\"alg\":\"greedy\",\"b\":3}}"
+            "{{\"id\":{id},\"op\":\"solve\",\"graph\":\"ring\",\"alg\":\"general\",\"b\":4,\"seed\":3}}"
         );
         assert!(!server.handle_line(&line, &sink));
     }
-    let responses = wait_lines(&buf, 4);
+    let responses = wait_lines(&buf, N);
     let mut ids: Vec<u64> = responses.iter().map(|l| id_of(l)).collect();
     ids.sort_unstable();
-    assert_eq!(ids, vec![1, 2, 3, 4]);
+    assert_eq!(ids, (1..=N as u64).collect::<Vec<_>>());
     let payloads: Vec<String> = responses.iter().map(|l| result_of(l)).collect();
     for p in &payloads[1..] {
         assert_eq!(*p, payloads[0], "fan-out must be byte-identical");
     }
     let stats = server.stats();
-    assert_eq!(stats.solves, 1, "4 coalesced requests, 1 underlying solve");
-    assert_eq!(stats.batch_joined, 3);
-    assert_eq!(stats.cache_misses, 1, "joiners never count as misses");
+    assert_eq!(
+        stats.solves, 1,
+        "{N} identical requests, 1 underlying solve"
+    );
+    assert_eq!(
+        stats.batch_joined + stats.cache_hits + stats.cache_misses,
+        N as u64,
+        "every request is exactly one of join, hit or miss: {stats:?}"
+    );
+}
+
+#[test]
+fn a_duplicate_arriving_mid_solve_joins_it_instead_of_solving_again() {
+    // A solve long enough that the duplicate, sent 20 ms later, lands
+    // while it runs. The batch stays open until the result is cached, so
+    // the duplicate joins it (or, if the solve already finished, hits
+    // the cache): never a second solve.
+    let server = Server::new(ServerConfig {
+        capacity: 8,
+        cache_bytes: 1 << 20,
+        ..ServerConfig::default()
+    });
+    server.add_graph(
+        "big",
+        domatic_graph::generators::gnp::gnp_with_avg_degree(2000, 12.0, 1),
+    );
+    let server = Arc::new(server);
+    let (buf, sink) = sink();
+    let line = |id: u64| {
+        format!(
+            "{{\"id\":{id},\"op\":\"solve\",\"graph\":\"big\",\"solver\":\"portfolio\",\"b\":2}}"
+        )
+    };
+    server.handle_line(&line(1), &sink);
+    std::thread::sleep(Duration::from_millis(20));
+    server.handle_line(&line(2), &sink);
+    let responses = wait_lines(&buf, 2);
+    assert_eq!(result_of(&responses[0]), result_of(&responses[1]));
+    let stats = server.stats();
+    assert_eq!(stats.solves, 1, "the duplicate re-solved: {stats:?}");
+    assert_eq!(stats.batch_joined + stats.cache_hits, 1, "{stats:?}");
 }
 
 #[test]
 fn cached_response_is_byte_identical_to_the_uncached_one() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -134,42 +174,9 @@ fn cached_response_is_byte_identical_to_the_uncached_one() {
 }
 
 #[test]
-fn batched_and_unbatched_servers_render_the_same_bytes() {
-    // Same request through a batching server and through a cold
-    // zero-window server: the payload must not depend on either.
-    let req = r#"{"id":1,"op":"solve","graph":"ring","alg":"general","b":4,"seed":3}"#;
-    let batching = make_server(ServerConfig {
-        capacity: 8,
-        batch_window: Duration::from_millis(100),
-        cache_bytes: 1 << 20,
-        ..ServerConfig::default()
-    });
-    let (buf_a, sink_a) = sink();
-    batching.handle_line(req, &sink_a);
-    batching.handle_line(req, &sink_a);
-    let batched = wait_lines(&buf_a, 2);
-
-    let cold = make_server(ServerConfig {
-        capacity: 8,
-        batch_window: Duration::ZERO,
-        cache_bytes: 1 << 20,
-        ..ServerConfig::default()
-    });
-    let (buf_b, sink_b) = sink();
-    cold.handle_line(req, &sink_b);
-    let unbatched = wait_lines(&buf_b, 1);
-
-    assert_eq!(batched[0], unbatched[0]);
-    assert_eq!(batched[1], unbatched[0]);
-    assert_eq!(batching.stats().solves, 1);
-    assert_eq!(cold.stats().solves, 1);
-}
-
-#[test]
 fn expired_deadline_gets_a_typed_error_and_the_server_keeps_serving() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -196,40 +203,48 @@ fn expired_deadline_gets_a_typed_error_and_the_server_keeps_serving() {
 fn admission_beyond_capacity_is_a_typed_overloaded_error() {
     let server = make_server(ServerConfig {
         capacity: 1,
-        batch_window: Duration::from_millis(400),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
+    let (leader_buf, leader_sink) = sink();
     let (buf, sink) = sink();
-    // First request occupies the single in-flight slot for the whole
-    // batching window.
-    server.handle_line(r#"{"id":1,"op":"solve","graph":"ring","b":3}"#, &sink);
-    // A different key cannot join the open batch and must be rejected
-    // synchronously at admission.
+    // A job releases its in-flight slot only after fanning out, so
+    // holding the first request's sink holds the single slot.
+    let held = leader_buf.lock().unwrap();
+    server.handle_line(
+        r#"{"id":1,"op":"solve","graph":"ring","b":3}"#,
+        &leader_sink,
+    );
+    // A different key cannot be admitted and is rejected synchronously.
     server.handle_line(
         r#"{"id":2,"op":"solve","graph":"ring","b":3,"seed":77}"#,
         &sink,
     );
-    // An identical key coalesces instead of being rejected.
+    let rejected = lines(&buf);
+    assert_eq!(rejected.len(), 1, "{rejected:?}");
+    assert_eq!(id_of(&rejected[0]), 2);
+    assert_eq!(error_kind(&rejected[0]), "overloaded");
+    // An identical key is never rejected: it joins the batch, or hits
+    // the cache once the solve is in.
     server.handle_line(r#"{"id":3,"op":"solve","graph":"ring","b":3}"#, &sink);
+    assert_eq!(server.stats().inflight, 1);
+    drop(held);
 
-    let responses = wait_lines(&buf, 3);
-    let overloaded: Vec<&String> = responses
-        .iter()
-        .filter(|l| l.contains("\"ok\":false"))
-        .collect();
-    assert_eq!(overloaded.len(), 1);
-    assert_eq!(id_of(overloaded[0]), 2);
-    assert_eq!(error_kind(overloaded[0]), "overloaded");
-    assert_eq!(server.stats().overloads, 1);
-    assert_eq!(server.stats().batch_joined, 1);
+    let joined = wait_lines(&buf, 2);
+    let leader = wait_lines(&leader_buf, 1);
+    assert_eq!(id_of(&joined[1]), 3);
+    assert_eq!(result_of(&joined[1]), result_of(&leader[0]));
+    let stats = server.stats();
+    assert_eq!(stats.overloads, 1);
+    assert_eq!(stats.shed_miss, 1);
+    assert_eq!(stats.batch_joined + stats.cache_hits, 1, "{stats:?}");
+    assert_eq!(stats.solves, 1);
 }
 
 #[test]
 fn bounds_and_adapt_ops_serve_and_cache() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -304,7 +319,6 @@ fn deeply_nested_request_is_a_bad_request_and_the_server_keeps_serving() {
 fn hops_request_serves_valid_d_hop_schedules_and_adapt_rejects_it() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -393,7 +407,6 @@ fn default_solver_responses_are_pinned_byte_for_byte() {
     ];
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -415,7 +428,6 @@ fn default_solver_responses_are_pinned_byte_for_byte() {
 fn solver_alias_and_budget_ms_drive_the_anytime_solvers() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -497,40 +509,45 @@ fn unknown_solver_names_are_rejected_typed_via_either_field() {
 fn shutdown_drains_and_rejects_new_work() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::from_millis(50),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
+    let (leader_buf, leader_sink) = sink();
     let (buf, sink) = sink();
-    server.handle_line(r#"{"id":1,"op":"solve","graph":"ring","b":3}"#, &sink);
+    // Holding the first request's sink keeps its job in flight (the slot
+    // is released only after fan-out) while shutdown arrives.
+    let held = leader_buf.lock().unwrap();
+    server.handle_line(
+        r#"{"id":1,"op":"solve","graph":"ring","b":3}"#,
+        &leader_sink,
+    );
     assert!(server.handle_line(r#"{"id":2,"op":"shutdown"}"#, &sink));
     // Admission is closed from the moment shutdown was seen.
     server.handle_line(
         r#"{"id":3,"op":"solve","graph":"ring","b":3,"seed":9}"#,
         &sink,
     );
+    let responses = lines(&buf);
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert!(responses[0].contains("draining"), "{}", responses[0]);
+    assert_eq!(id_of(&responses[1]), 3);
+    assert_eq!(error_kind(&responses[1]), "shutting_down");
+    assert_eq!(server.stats().inflight, 1);
+    drop(held);
+
+    // Drain returns only after the in-flight job has fanned out.
     server.drain();
-    let responses = wait_lines(&buf, 3);
     assert_eq!(server.stats().inflight, 0);
-    let in_flight_done = responses
-        .iter()
-        .any(|l| id_of(l) == 1 && l.contains("\"ok\":true"));
-    assert!(
-        in_flight_done,
-        "in-flight work completes during drain: {responses:?}"
-    );
-    let rejected = responses
-        .iter()
-        .find(|l| id_of(l) == 3)
-        .expect("post-shutdown request answered");
-    assert_eq!(error_kind(rejected), "shutting_down");
+    let first = lines(&leader_buf);
+    assert_eq!(first.len(), 1, "{first:?}");
+    assert_eq!(id_of(&first[0]), 1);
+    assert!(first[0].contains("\"ok\":true"), "{}", first[0]);
 }
 
 #[test]
 fn tcp_transport_serves_concurrent_mixed_clients_end_to_end() {
     let server = make_server(ServerConfig {
         capacity: 16,
-        batch_window: Duration::from_millis(5),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -617,10 +634,7 @@ fn stats_op_reports_counters_inline() {
 /// and a typed error.
 #[test]
 fn stats_op_payload_is_pinned_byte_for_byte() {
-    let server = make_server(ServerConfig {
-        batch_window: Duration::ZERO,
-        ..ServerConfig::default()
-    });
+    let server = make_server(ServerConfig::default());
     let (buf, sink) = sink();
     let requests = [
         r#"{"id":1,"op":"ping"}"#,
@@ -673,7 +687,6 @@ fn access_log_traces_the_lifecycle_without_changing_response_bytes() {
     let run = |with_log: bool| -> (Vec<String>, Vec<String>) {
         let server = make_server(ServerConfig {
             capacity: 8,
-            batch_window: Duration::ZERO,
             cache_bytes: 1 << 20,
             ..ServerConfig::default()
         });
@@ -752,7 +765,6 @@ fn access_log_traces_the_lifecycle_without_changing_response_bytes() {
 fn metrics_op_returns_valid_prometheus_exposition() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -806,7 +818,6 @@ fn metrics_op_returns_valid_prometheus_exposition() {
 fn profile_op_reports_the_trace_ring() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         trace_ring: 4,
         ..ServerConfig::default()
@@ -847,7 +858,6 @@ fn profile_op_reports_the_trace_ring() {
 fn slow_request_threshold_dumps_lifecycles_to_the_access_log() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         slow_ms: Some(0), // everything is an outlier
         ..ServerConfig::default()

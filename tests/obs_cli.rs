@@ -36,8 +36,6 @@ fn start_server(access_log: &std::path::Path) -> ServerProc {
             "0",
             "--graph",
             "main=ring:24",
-            "--batch-window-ms",
-            "0",
             "--access-log",
         ])
         .arg(access_log)
