@@ -127,7 +127,7 @@ impl OutQueue {
 
     /// Completes slot `seq` with rendered response bytes; promotes the
     /// contiguous completed prefix to the wire and schedules the
-    /// connection for flushing if that produced new flushable bytes.
+    /// connection for flushing if that promoted anything.
     /// Called from any thread.
     pub fn commit(&self, seq: u64, bytes: Vec<u8>) {
         self.shared.depth.fetch_sub(1, Ordering::Relaxed);
@@ -144,8 +144,9 @@ impl OutQueue {
             s.head_seq += 1;
             promoted = true;
         }
-        let flushable = s.wire.len() > s.wire_pos;
-        if promoted && flushable && !s.scheduled {
+        // Even an empty promotion wakes the shard: it may leave the
+        // connection idle, which a closing connection waits for.
+        if promoted && !s.scheduled {
             s.scheduled = true;
             drop(s);
             lock(&self.shared.ready).push(self.conn);

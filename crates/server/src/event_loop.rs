@@ -25,6 +25,7 @@
 //! [`Server::serve_tcp`]: crate::server::Server::serve_tcp
 
 use crate::conn::{Conn, OutQueue, ShardShared, SlotSink, MAX_LINE_BYTES};
+use crate::protocol;
 use crate::server::{lock, Server};
 use std::io::Read;
 use std::net::TcpStream;
@@ -107,13 +108,11 @@ fn run_shard(server: &Arc<Server>, idx: usize, poll: &mio::Poll, shared: &Arc<Sh
     let mut to_close: Vec<usize> = Vec::new();
 
     loop {
-        let finishing = shared.finish.load(Ordering::Acquire);
-        let timeout = if finishing {
-            Duration::from_millis(10)
-        } else {
-            Duration::from_millis(200)
-        };
-        if poll.poll(&mut events, Some(timeout)).is_err() {
+        // Every state change the loop waits on fires the waker (hand-off,
+        // ready-list commits, `finish`), so serving blocks untimed; only
+        // a finishing shard bounds its wait, by the grace deadline.
+        let timeout = finish_deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        if poll.poll(&mut events, timeout).is_err() {
             break;
         }
 
@@ -170,7 +169,9 @@ fn run_shard(server: &Arc<Server>, idx: usize, poll: &mio::Poll, shared: &Arc<Sh
 
         depth_hist.record(shared.depth.load(Ordering::Relaxed));
 
-        if finishing {
+        // Read only after this pass drained the waker: `finish` sets the
+        // flag before it wakes, so a wake consumed above is never lost.
+        if shared.finish.load(Ordering::Acquire) {
             let deadline = *finish_deadline.get_or_insert_with(|| Instant::now() + FINISH_GRACE);
             let all_idle = slab.conns.iter().flatten().all(|c| c.out.is_idle());
             let inboxed = !lock(&shared.inbox).is_empty() || !lock(&shared.ready).is_empty();
@@ -257,22 +258,13 @@ fn read_ready(server: &Arc<Server>, idx: usize, conn: &mut Conn, scratch: &mut [
 /// completion order. Returns `false` when a partial line has outgrown
 /// [`MAX_LINE_BYTES`].
 fn dispatch_lines(server: &Arc<Server>, conn: &mut Conn) -> bool {
-    let mut start = 0usize;
-    while let Some(pos) = conn.read_buf[start..].iter().position(|&b| b == b'\n') {
-        let end = start + pos;
-        let raw = String::from_utf8_lossy(&conn.read_buf[start..end]);
-        let line = raw.trim();
-        if !line.is_empty() {
-            let seq = conn.out.alloc();
-            let sink = SlotSink::sink(&conn.out, seq);
-            // The shutdown flag a `shutdown` line sets is observed by the
-            // acceptor loop; the shard just keeps serving until told to
-            // finish.
-            server.handle_line(line, &sink);
-        }
-        start = end + 1;
-    }
-    conn.read_buf.drain(..start);
+    let out = &conn.out;
+    protocol::drain_lines(&mut conn.read_buf, |line| {
+        // The shutdown flag a `shutdown` line sets is observed by the
+        // acceptor loop; the shard just keeps serving until told to
+        // finish.
+        server.handle_line(line, &SlotSink::sink(out, out.alloc()));
+    });
     conn.read_buf.len() <= MAX_LINE_BYTES
 }
 

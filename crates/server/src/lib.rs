@@ -38,10 +38,12 @@
 //! its connections end to end. Requests pipelined on one connection are
 //! answered in receipt order, and overload sheds in tiers (cache-miss
 //! traffic first, batch joins under severe pressure, cache hits never).
+//! The [`client`] module is the one blocking client for this protocol.
 //!
 //! [`Solver`]: domatic_core::solver::Solver
 
 pub mod cache;
+pub mod client;
 mod conn;
 mod event_loop;
 pub mod protocol;
@@ -49,6 +51,7 @@ pub mod server;
 pub mod trace;
 
 pub use cache::SolveCache;
+pub use client::Client;
 pub use protocol::{parse_request, Op, Request};
 pub use server::{Server, ServerConfig, ServerStatsSnapshot};
 pub use trace::{ReqTrace, TraceRecord, Tracer};

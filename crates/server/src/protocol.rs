@@ -291,6 +291,24 @@ pub fn parse_request(line: &str) -> Result<Request, (u64, DomaticError)> {
     })
 }
 
+/// The JSON-lines framer: calls `on_line` with every complete line in
+/// `buf` (lossy UTF-8, trimmed, blank lines skipped) and drains the
+/// consumed prefix, so at most one partial line stays buffered. A line
+/// that is valid UTF-8 is borrowed straight from `buf`, never copied.
+pub fn drain_lines(buf: &mut Vec<u8>, mut on_line: impl FnMut(&str)) {
+    let mut start = 0usize;
+    while let Some(pos) = buf[start..].iter().position(|&b| b == b'\n') {
+        let end = start + pos;
+        let line = String::from_utf8_lossy(&buf[start..end]);
+        let line = line.trim();
+        if !line.is_empty() {
+            on_line(line);
+        }
+        start = end + 1;
+    }
+    buf.drain(..start);
+}
+
 /// Renders a success response line (no trailing newline). `result` must
 /// already be rendered JSON — for cacheable ops it comes verbatim from
 /// the cache, which is what makes cached and uncached responses

@@ -1,11 +1,11 @@
 //! Integration tests for the evented TCP transport: receipt-order
-//! pipelining, shed tiers, drain behavior (no leaked connection
-//! handlers), shard-count response invariance, and the telemetry the
-//! shards export.
+//! pipelining, frames split across reads, shed tiers, drain behavior
+//! (no leaked connection handlers), shard-count response invariance,
+//! and the telemetry the shards export.
 
 use domatic_graph::Graph;
 use domatic_server::server::ResponseSink;
-use domatic_server::{Server, ServerConfig};
+use domatic_server::{protocol, Client, Server, ServerConfig};
 use domatic_telemetry::json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -37,12 +37,10 @@ fn start(server: &Arc<Server>) -> (std::net::SocketAddr, std::thread::JoinHandle
 }
 
 fn shutdown(addr: std::net::SocketAddr, handle: std::thread::JoinHandle<()>) {
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
-    writeln!(stream, "{{\"id\":99999,\"op\":\"shutdown\"}}").unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
+    let line = Client::connect(addr)
+        .unwrap()
+        .request("\"op\":\"shutdown\"")
+        .unwrap();
     assert!(line.contains("draining"), "{line}");
     handle.join().unwrap();
 }
@@ -112,14 +110,32 @@ fn pipelined_workload() -> Vec<String> {
     lines
 }
 
-#[test]
-fn pipelined_requests_answer_in_receipt_order_byte_identically() {
-    let cfg = ServerConfig {
+fn pipelined_config() -> ServerConfig {
+    ServerConfig {
         capacity: 16,
         cache_bytes: 1 << 20,
         shards: 2,
         ..ServerConfig::default()
-    };
+    }
+}
+
+/// `pipelined_workload()` written in one burst on one socket before
+/// reading anything back; returns the responses in arrival order.
+fn burst_responses() -> Vec<String> {
+    let requests = pipelined_workload();
+    let server = make_server(pipelined_config());
+    let (addr, handle) = start(&server);
+    let mut client = Client::connect(addr).unwrap();
+    client.send(&requests.join("\n")).unwrap();
+    let got: Vec<String> = requests.iter().map(|_| client.recv().unwrap()).collect();
+    assert_eq!(server.stats().errors, 0);
+    shutdown(addr, handle);
+    got
+}
+
+#[test]
+fn pipelined_requests_answer_in_receipt_order_byte_identically() {
+    let cfg = pipelined_config();
     let requests = pipelined_workload();
 
     // Reference responses: the same lines driven synchronously through
@@ -134,28 +150,8 @@ fn pipelined_requests_answer_in_receipt_order_byte_identically() {
         wait_lines(&buf, requests.len())
     };
 
-    // The evented path: all 12 requests written in one burst on one
-    // socket before reading anything back.
-    let server = make_server(cfg);
-    let (addr, handle) = start(&server);
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
-    let mut burst = String::new();
-    for line in &requests {
-        burst.push_str(line);
-        burst.push('\n');
-    }
-    stream.write_all(burst.as_bytes()).unwrap();
-    stream.flush().unwrap();
-
-    let mut got = Vec::new();
-    for _ in 0..requests.len() {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        got.push(line.trim_end().to_string());
-    }
-
+    // The evented path: all 12 requests in one burst.
+    let got = burst_responses();
     let ids: Vec<u64> = got.iter().map(|l| id_of(l)).collect();
     let want: Vec<u64> = (1..=requests.len() as u64).collect();
     assert_eq!(ids, want, "responses must arrive in receipt order");
@@ -163,8 +159,104 @@ fn pipelined_requests_answer_in_receipt_order_byte_identically() {
         got, reference,
         "pipelined responses must be byte-identical to the synchronous path"
     );
+}
+
+/// A splitmix64 step: the seeded chunk lengths below.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Feeds `chunks` through the framer the way a shard's reads do: append
+/// each chunk, then frame.
+fn frame_chunks<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> (Vec<String>, Vec<u8>) {
+    let mut buf = Vec::new();
+    let mut got = Vec::new();
+    for chunk in chunks {
+        buf.extend_from_slice(chunk);
+        protocol::drain_lines(&mut buf, |line| got.push(line.to_string()));
+    }
+    (got, buf)
+}
+
+#[test]
+fn framer_yields_the_same_lines_under_every_chunking() {
+    // The workload with blank lines, whitespace-only lines and `\r\n`
+    // endings mixed in, plus a trailing partial line.
+    let mut wire = String::new();
+    for (i, line) in pipelined_workload().iter().enumerate() {
+        match i % 3 {
+            0 => wire.push_str(&format!("{line}\r\n")),
+            1 => wire.push_str(&format!("\n  {line}\n\r\n")),
+            _ => wire.push_str(&format!(" \t\n{line}\n")),
+        }
+    }
+    wire.push_str("{\"id\":99,\"op\":\"pi");
+    let wire = wire.as_bytes();
+
+    let (whole, rest) = frame_chunks([wire]);
+    assert_eq!(
+        whole,
+        pipelined_workload(),
+        "blank lines and \\r must vanish"
+    );
+    assert_eq!(
+        rest, b"{\"id\":99,\"op\":\"pi",
+        "a partial line stays buffered"
+    );
+
+    let (bytewise, rest1) = frame_chunks(wire.chunks(1));
+    assert_eq!(
+        (bytewise, rest1),
+        (whole.clone(), rest.clone()),
+        "1-byte chunks"
+    );
+    for seed in 0..200u64 {
+        let mut state = seed;
+        let mut cuts = Vec::new();
+        let mut at = 0usize;
+        while at < wire.len() {
+            let len = 1 + (splitmix(&mut state) % 48) as usize;
+            cuts.push(&wire[at..(at + len).min(wire.len())]);
+            at += len;
+        }
+        let (got, left) = frame_chunks(cuts);
+        assert_eq!(got, whole, "seed {seed}");
+        assert_eq!(left, rest, "seed {seed}");
+    }
+}
+
+#[test]
+fn requests_written_one_byte_per_write_answer_like_the_burst() {
+    let requests = pipelined_workload();
+    let server = make_server(pipelined_config());
+    let (addr, handle) = start(&server);
+    // The one socket that writes raw bytes: it splits every frame, which
+    // `Client` by design never does.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for byte in requests.join("\n").bytes().chain([b'\n']) {
+        assert_eq!(stream.write(&[byte]).unwrap(), 1);
+    }
+    let got: Vec<String> = requests
+        .iter()
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line.trim_end().to_string()
+        })
+        .collect();
     assert_eq!(server.stats().errors, 0);
     shutdown(addr, handle);
+    assert_eq!(
+        got,
+        burst_responses(),
+        "byte-split requests must be answered byte-identically to the burst"
+    );
 }
 
 #[test]
@@ -282,21 +374,12 @@ fn shutdown_closes_idle_connections_and_joins_all_transport_threads() {
     // pre-evented transport leaked a blocked reader thread per one of
     // these. The evented transport must tear them down on shutdown.
     let mut idle: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
-    // An active client with in-flight work right at shutdown.
-    let active = TcpStream::connect(addr).unwrap();
-    let mut active_reader = BufReader::new(active.try_clone().unwrap());
-    let mut active = active;
-    writeln!(
-        active,
-        "{{\"id\":5,\"op\":\"solve\",\"graph\":\"ring\",\"alg\":\"greedy\",\"b\":3}}"
-    )
-    .unwrap();
-
-    // The active client's work completes (so it is committed, not shed,
-    // when shutdown arrives)...
-    let mut line = String::new();
-    active_reader.read_line(&mut line).unwrap();
-    assert_eq!(id_of(&line), 5);
+    // An active client with in-flight work right at shutdown; its work
+    // completes (so it is committed, not shed, when shutdown arrives).
+    let mut active = Client::connect(addr).unwrap();
+    let line = active
+        .request("\"op\":\"solve\",\"graph\":\"ring\",\"alg\":\"greedy\",\"b\":3")
+        .unwrap();
     assert!(line.contains("\"ok\":true"), "{line}");
 
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -344,20 +427,14 @@ fn responses_are_byte_identical_across_shard_counts() {
         for chunk in requests.chunks(4) {
             let chunk: Vec<String> = chunk.to_vec();
             clients.push(std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut stream = stream;
+                let mut client = Client::connect(addr).unwrap();
                 for line in &chunk {
-                    writeln!(stream, "{line}").unwrap();
+                    client.send(line).unwrap();
                 }
-                stream.flush().unwrap();
-                let mut got = Vec::new();
-                for _ in 0..chunk.len() {
-                    let mut line = String::new();
-                    reader.read_line(&mut line).unwrap();
-                    got.push(line.trim_end().to_string());
-                }
-                got
+                chunk
+                    .iter()
+                    .map(|_| client.recv().unwrap())
+                    .collect::<Vec<_>>()
             }));
         }
         for c in clients {
@@ -387,16 +464,10 @@ fn metrics_scrape_reports_connection_gauge_and_shard_queue_depth() {
     // histogram has recorded on a nonzero path too).
     let _idle_a = TcpStream::connect(addr).unwrap();
     let _idle_b = TcpStream::connect(addr).unwrap();
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
-    writeln!(
-        stream,
-        "{{\"id\":1,\"op\":\"solve\",\"graph\":\"ring\",\"alg\":\"greedy\",\"b\":3}}"
-    )
-    .unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    let line = client
+        .request("\"op\":\"solve\",\"graph\":\"ring\",\"alg\":\"greedy\",\"b\":3")
+        .unwrap();
     assert!(line.contains("\"ok\":true"), "{line}");
 
     let deadline = Instant::now() + Duration::from_secs(10);

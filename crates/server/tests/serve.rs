@@ -7,10 +7,10 @@
 
 use domatic_graph::Graph;
 use domatic_server::server::ResponseSink;
-use domatic_server::{Server, ServerConfig};
+use domatic_server::{Client, Server, ServerConfig};
 use domatic_telemetry::json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::Write;
+use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -559,9 +559,7 @@ fn tcp_transport_serves_concurrent_mixed_clients_end_to_end() {
     let mut clients = Vec::new();
     for c in 0..4u64 {
         clients.push(std::thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut stream = stream;
+            let mut client = Client::connect(addr).unwrap();
             let n = 6u64;
             for i in 0..n {
                 // A mixed pipelined workload with deliberate duplicates
@@ -575,13 +573,11 @@ fn tcp_transport_serves_concurrent_mixed_clients_end_to_end() {
                         i % 2
                     )
                 };
-                writeln!(stream, "{line}").unwrap();
+                client.send(&line).unwrap();
             }
-            stream.flush().unwrap();
             let mut got = Vec::new();
             for _ in 0..n {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
+                let line = client.recv().unwrap();
                 assert!(line.contains("\"ok\":true"), "{line}");
                 got.push(id_of(&line));
             }
@@ -606,12 +602,10 @@ fn tcp_transport_serves_concurrent_mixed_clients_end_to_end() {
     );
 
     // Shut the server down over the wire and join the serve loop.
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
-    writeln!(stream, "{{\"id\":999,\"op\":\"shutdown\"}}").unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
+    let line = Client::connect(addr)
+        .unwrap()
+        .request("\"op\":\"shutdown\"")
+        .unwrap();
     assert!(line.contains("draining"), "{line}");
     serve_thread.join().unwrap();
 }

@@ -29,6 +29,7 @@
 //!                  [--out BENCH_scenarios.json]
 //! domatic top --addr HOST:PORT [--interval-ms N] [--iterations N] [--no-clear]
 //! domatic profile --addr HOST:PORT
+//! domatic call --addr HOST:PORT LINE...
 //! ```
 //!
 //! `serve` runs the batching, caching JSON-lines solve service from
@@ -69,7 +70,9 @@
 //! refreshing req/s / in-flight / shed / hit-rate / per-op-latency
 //! table; `domatic profile` converts the server's trace ring and span
 //! aggregates into collapsed-stack (flamegraph) lines. Tracing never
-//! changes response bytes.
+//! changes response bytes. `domatic call` sends each LINE verbatim and
+//! prints each response line, for scripts. `scenario`, `top`, `profile`
+//! and `call` all talk through `domatic_server::client`.
 //!
 //! `<solver>` is any name from `domatic_core::solver::solver_registry()`
 //! (`uniform`, `general`, `greedy`, `ft`, `tabu`, `sa`, `portfolio`); an
@@ -101,10 +104,11 @@ use domatic::prelude::*;
 use domatic::schedule::compact::render;
 use domatic::schedule::metrics::schedule_metrics;
 use domatic::schedule::validate_schedule_hops;
+use domatic::server::Client;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  domatic info <graph.txt>\n  domatic solve <graph.txt> [--b N] [--k K] [--hops D] [--alg SOLVER] [--solver SOLVER] [--seed S] [--trials R] [--budget-ms MS] [--max-iters N] [--verbose] [--gantt] [--out schedule.txt]   (alias: schedule)\n  domatic validate <graph.txt> <schedule.txt> [--b N] [--k K] [--hops D]\n  domatic partition <graph.txt> [--alg greedy|feige|augmented] [--seed S]\n  domatic simulate <graph.txt> [--b N] [--k K] [--seed S]\n  domatic adapt <graph.txt> [--b N] [--k K] [--alg SOLVER] [--seed S] [--trials R] [--failures none|crash|battery-noise|transient-loss|all] [--p P] [--slots N] [--retries N] [--drift N] [--json]\n  domatic render <graph.txt> --out fig.svg [--alg greedy|feige|augmented]\n  domatic optimum <graph.txt> [--b N]\n  domatic serve [--graph NAME=SPEC ...] [--port P] [--shards N] [--capacity N] [--cache-bytes N] [--shed-join-waiters N] [--access-log PATH] [--metrics-port P] [--slow-ms N] [--trace-ring N]\n  domatic bench-serve --addr HOST:PORT [--requests N] [--clients C] [--mode closed|open] [--rate RPS] [--graphs a,b] [--trace-file req.jsonl] [--json] [--matrix [--clients-list 100,1000,10000] [--out BENCH_serve.json]]\n  domatic scenario --addr HOST:PORT [--quick] [--seed S] [--out BENCH_scenarios.json]   (needs graphs crash=gnp:32,5.0,7 flap=ring:24 recharge=ring:18 dense=dense:12,3)\n  domatic top --addr HOST:PORT [--interval-ms N] [--iterations N] [--no-clear]\n  domatic profile --addr HOST:PORT\nSOLVER is one of: {}\nany subcommand also takes --trace (print timing spans and counters on exit) and --threads N (thread-pool size; default RAYON_NUM_THREADS or all cores)",
+        "usage:\n  domatic info <graph.txt>\n  domatic solve <graph.txt> [--b N] [--k K] [--hops D] [--alg SOLVER] [--solver SOLVER] [--seed S] [--trials R] [--budget-ms MS] [--max-iters N] [--verbose] [--gantt] [--out schedule.txt]   (alias: schedule)\n  domatic validate <graph.txt> <schedule.txt> [--b N] [--k K] [--hops D]\n  domatic partition <graph.txt> [--alg greedy|feige|augmented] [--seed S]\n  domatic simulate <graph.txt> [--b N] [--k K] [--seed S]\n  domatic adapt <graph.txt> [--b N] [--k K] [--alg SOLVER] [--seed S] [--trials R] [--failures none|crash|battery-noise|transient-loss|all] [--p P] [--slots N] [--retries N] [--drift N] [--json]\n  domatic render <graph.txt> --out fig.svg [--alg greedy|feige|augmented]\n  domatic optimum <graph.txt> [--b N]\n  domatic serve [--graph NAME=SPEC ...] [--port P] [--shards N] [--capacity N] [--cache-bytes N] [--shed-join-waiters N] [--access-log PATH] [--metrics-port P] [--slow-ms N] [--trace-ring N]\n  domatic bench-serve --addr HOST:PORT [--requests N] [--clients C] [--mode closed|open] [--rate RPS] [--graphs a,b] [--trace-file req.jsonl] [--json] [--matrix [--clients-list 100,1000,10000] [--out BENCH_serve.json]]\n  domatic scenario --addr HOST:PORT [--quick] [--seed S] [--out BENCH_scenarios.json]   (needs graphs crash=gnp:32,5.0,7 flap=ring:24 recharge=ring:18 dense=dense:12,3)\n  domatic top --addr HOST:PORT [--interval-ms N] [--iterations N] [--no-clear]\n  domatic profile --addr HOST:PORT\n  domatic call --addr HOST:PORT LINE...\nSOLVER is one of: {}\nany subcommand also takes --trace (print timing spans and counters on exit) and --threads N (thread-pool size; default RAYON_NUM_THREADS or all cores)",
         domatic::core::solver::solver_names().join("|")
     );
     std::process::exit(2)
@@ -632,6 +636,7 @@ fn run_command(cmd: &str, rest: &[String]) {
         "scenario" => cmd_scenario(&rest),
         "top" => cmd_top(&rest),
         "profile" => cmd_profile(&rest),
+        "call" => cmd_call(&rest),
         _ => usage(),
     }
 }
@@ -839,30 +844,22 @@ fn serve_metrics(server: &domatic::server::Server, listener: std::net::TcpListen
     }
 }
 
-/// One `metrics`-op round trip over an established JSON-lines
-/// connection: sends the request, reads one response line, and returns
-/// the parsed exposition as a [`Snapshot`].
-fn scrape_snapshot(
-    stream: &mut std::net::TcpStream,
-    reader: &mut std::io::BufReader<std::net::TcpStream>,
-    id: u64,
-) -> Result<domatic_telemetry::Snapshot, String> {
-    use std::io::{BufRead, Write};
-    let request = format!("{{\"id\":{id},\"op\":\"metrics\"}}\n");
-    stream
-        .write_all(request.as_bytes())
+/// Connects the protocol client, or exits 1 with a one-line message.
+fn connect(addr: &str) -> Client {
+    Client::connect(addr).unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")))
+}
+
+/// One `metrics`-op round trip, parsed into a [`Snapshot`].
+fn scrape_snapshot(client: &mut Client) -> Result<domatic_telemetry::Snapshot, String> {
+    let line = client
+        .request("\"op\":\"metrics\"")
         .map_err(|e| e.to_string())?;
-    let mut line = String::new();
-    if reader.read_line(&mut line).map_err(|e| e.to_string())? == 0 {
-        return Err("server closed the connection".into());
-    }
-    let v =
-        domatic_telemetry::json::parse(line.trim()).map_err(|e| format!("bad response: {e}"))?;
+    let v = domatic_telemetry::json::parse(&line).map_err(|e| format!("bad response: {e}"))?;
     let text = v
         .get("result")
         .and_then(|r| r.get("exposition"))
         .and_then(|t| t.as_str())
-        .ok_or_else(|| format!("response has no exposition: {}", line.trim()))?;
+        .ok_or_else(|| format!("response has no exposition: {line}"))?;
     domatic_telemetry::prometheus::parse_snapshot(text)
 }
 
@@ -897,25 +894,14 @@ fn cmd_top(rest: &[String]) {
         eprintln!("top needs --addr HOST:PORT");
         std::process::exit(2);
     }
-    let stream = std::net::TcpStream::connect(&addr).unwrap_or_else(|e| {
-        eprintln!("cannot connect to {addr}: {e}");
-        std::process::exit(1);
-    });
-    // Small request lines must not wait out Nagle's delayed-ACK stall.
-    let _ = stream.set_nodelay(true);
-    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut stream = stream;
+    // The client's request ids count up from 1, so each tick's scrape
+    // carries the tick as its id.
+    let mut client = connect(&addr);
     let mut prev: Option<domatic_telemetry::Snapshot> = None;
     let mut tick = 0u64;
     loop {
         tick += 1;
-        let snap = match scrape_snapshot(&mut stream, &mut reader, tick) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("top: {e}");
-                std::process::exit(1);
-            }
-        };
+        let snap = scrape_snapshot(&mut client).unwrap_or_else(|e| die(&format!("top: {e}")));
         if let Some(prev_snap) = &prev {
             let d = snap.delta(prev_snap);
             let secs = interval_ms as f64 / 1e3;
@@ -989,45 +975,19 @@ fn cmd_top(rest: &[String]) {
 /// `path;segments value_ns`, and the trace ring aggregated per
 /// (op, graph, alg) into queue/solve/render phase frames.
 fn cmd_profile(rest: &[String]) {
-    use std::io::{BufRead, Write};
-    let mut addr = String::new();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => {
-                addr = it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--addr needs a value");
-                    std::process::exit(2);
-                })
-            }
-            _ => usage(),
-        }
-    }
-    if addr.is_empty() {
-        eprintln!("profile needs --addr HOST:PORT");
-        std::process::exit(2);
-    }
-    let stream = std::net::TcpStream::connect(&addr).unwrap_or_else(|e| {
-        eprintln!("cannot connect to {addr}: {e}");
-        std::process::exit(1);
-    });
-    // Small request lines must not wait out Nagle's delayed-ACK stall.
-    let _ = stream.set_nodelay(true);
-    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut stream = stream;
-    stream
-        .write_all(b"{\"id\":1,\"op\":\"profile\"}\n")
-        .expect("write request");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read response");
-    let v = domatic_telemetry::json::parse(line.trim()).unwrap_or_else(|e| {
-        eprintln!("profile: bad response: {e}");
-        std::process::exit(1);
-    });
-    let result = v.get("result").cloned().unwrap_or_else(|| {
-        eprintln!("profile: error response: {}", line.trim());
-        std::process::exit(1);
-    });
+    let addr = match rest {
+        [flag, addr] if flag == "--addr" => addr,
+        _ => usage(),
+    };
+    let line = connect(addr)
+        .request("\"op\":\"profile\"")
+        .unwrap_or_else(|e| die(&format!("profile: {e}")));
+    let v = domatic_telemetry::json::parse(&line)
+        .unwrap_or_else(|e| die(&format!("profile: bad response: {e}")));
+    let result = v
+        .get("result")
+        .cloned()
+        .unwrap_or_else(|| die(&format!("profile: error response: {line}")));
 
     // Span aggregates: `a/b/c` paths become `a;b;c total_ns` frames.
     let mut span_lines = 0usize;
@@ -1076,6 +1036,23 @@ fn cmd_profile(rest: &[String]) {
     );
 }
 
+/// `domatic call`: sends each LINE verbatim over one connection and
+/// prints each response line as it arrives.
+fn cmd_call(rest: &[String]) {
+    let (addr, lines) = match rest {
+        [flag, addr, lines @ ..] if flag == "--addr" && !lines.is_empty() => (addr, lines),
+        _ => usage(),
+    };
+    let mut client = connect(addr);
+    for line in lines {
+        let response = client
+            .send(line)
+            .and_then(|()| client.recv())
+            .unwrap_or_else(|e| die(&format!("call: {e}")));
+        println!("{response}");
+    }
+}
+
 /// The synthetic bench-serve workload: a mixed solve/bounds trace with
 /// deliberate key duplicates (seeds cycle mod 3) so batching and caching
 /// have something to coalesce. Deterministic in (`n`, `graphs`, `seed`).
@@ -1097,7 +1074,8 @@ fn synthetic_trace(n: usize, graphs: &[String], seed: u64) -> Vec<String> {
         .collect()
 }
 
-fn bench_die(msg: &str) -> ! {
+/// Prints `msg` as one line on stderr and exits 1.
+fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(1);
 }
@@ -1138,11 +1116,11 @@ impl BenchConn {
                 break;
             }
             match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => bench_die("server closed the connection mid-trace"),
+                Ok(0) => die("server closed the connection mid-trace"),
                 Ok(n) => self.out_pos += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => bench_die(&format!("write to server failed: {e}")),
+                Err(e) => die(&format!("write to server failed: {e}")),
             }
         }
         let backlog = self.out_pos < self.out.len();
@@ -1209,7 +1187,7 @@ fn run_evented_bench(
                     stream = Some(s);
                     break;
                 }
-                Err(e) if attempt == 199 => bench_die(&format!("cannot connect to {addr}: {e}")),
+                Err(e) if attempt == 199 => die(&format!("cannot connect to {addr}: {e}")),
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
@@ -1263,7 +1241,7 @@ fn run_evented_bench(
     while received < total {
         let now = Instant::now();
         if now >= deadline {
-            bench_die(&format!(
+            die(&format!(
                 "bench timed out: {received}/{total} responses after {:?}",
                 started.elapsed()
             ));
@@ -1294,29 +1272,21 @@ fn run_evented_bench(
                         Ok(n) => conns[c].inbuf.extend_from_slice(&scratch[..n]),
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(e) => bench_die(&format!("read from server failed: {e}")),
+                        Err(e) => die(&format!("read from server failed: {e}")),
                     }
                 }
                 // Frame complete response lines; FIFO-match to sends.
                 let conn = &mut conns[c];
-                let mut start = 0usize;
+                let mut inbuf = std::mem::take(&mut conn.inbuf);
                 let mut queued = false;
-                while let Some(pos) = conn.inbuf[start..].iter().position(|&b| b == b'\n') {
-                    let end = start + pos;
-                    let line = String::from_utf8_lossy(&conn.inbuf[start..end])
-                        .trim()
-                        .to_string();
-                    start = end + 1;
-                    if line.is_empty() {
-                        continue;
-                    }
+                domatic::server::protocol::drain_lines(&mut inbuf, |line| {
                     if let Some(t0) = conn.pending.pop_front() {
                         latencies_us.push(t0.elapsed().as_micros() as u64);
                     }
                     if line.contains("\"ok\":false") {
                         errors += 1;
                     }
-                    responses.push(line);
+                    responses.push(line.to_string());
                     received += 1;
                     if !open && conn.next < conn.lines.len() {
                         let k = conn.lines[conn.next];
@@ -1324,13 +1294,13 @@ fn run_evented_bench(
                         conn.queue(&trace[k], Instant::now());
                         queued = true;
                     }
-                }
-                conn.inbuf.drain(..start);
+                });
+                conn.inbuf = inbuf;
                 if queued {
                     conn.flush(&poll, c);
                 }
                 if eof && !conn.pending.is_empty() {
-                    bench_die("server closed the connection mid-trace");
+                    die("server closed the connection mid-trace");
                 }
             }
             if ev.is_writable() {
@@ -1516,10 +1486,7 @@ fn run_bench_matrix(addr: &str, graphs: &[String], seed: u64, clients_list: &[us
         std::env::consts::OS,
         rows.join(",")
     );
-    std::fs::write(out, &doc).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
+    std::fs::write(out, &doc).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
     eprintln!("matrix: wrote {out}");
     if failed {
         std::process::exit(1);
@@ -1590,10 +1557,7 @@ fn cmd_bench_serve(rest: &[String]) {
 
     let trace: Vec<String> = match &trace_file {
         Some(path) => std::fs::read_to_string(path)
-            .unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            })
+            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
             .lines()
             .filter(|l| !l.trim().is_empty())
             .map(str::to_string)
@@ -1613,63 +1577,6 @@ fn cmd_bench_serve(rest: &[String]) {
 // ---------------------------------------------------------------------------
 // `domatic scenario` — the seeded churn campaign runner.
 // ---------------------------------------------------------------------------
-
-/// One blocking JSON-lines connection to a live server. Requests carry
-/// ids from a single monotone counter and are strictly
-/// request/response, so the byte stream a campaign observes is a pure
-/// function of (seed, quick) — independent of the server's shard count,
-/// which is exactly what the CI matrix gates on.
-struct ScenarioClient {
-    stream: std::net::TcpStream,
-    reader: std::io::BufReader<std::net::TcpStream>,
-    next_id: u64,
-}
-
-impl ScenarioClient {
-    fn connect(addr: &str) -> ScenarioClient {
-        let stream = std::net::TcpStream::connect(addr).unwrap_or_else(|e| {
-            eprintln!("cannot connect to {addr}: {e}");
-            std::process::exit(1);
-        });
-        // Small request lines must not wait out Nagle's delayed-ACK stall.
-        let _ = stream.set_nodelay(true);
-        let reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-        ScenarioClient {
-            stream,
-            reader,
-            next_id: 0,
-        }
-    }
-
-    /// Sends `{"id":<next>,<body>}` and blocks for the one response
-    /// line. Returns the trimmed line and the round-trip micros.
-    fn rpc(&mut self, body: &str) -> (String, u64) {
-        use std::io::{BufRead, Write};
-        self.next_id += 1;
-        let start = std::time::Instant::now();
-        let request = format!("{{\"id\":{},{body}}}\n", self.next_id);
-        self.stream
-            .write_all(request.as_bytes())
-            .unwrap_or_else(|e| {
-                eprintln!("scenario: write failed: {e}");
-                std::process::exit(1);
-            });
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) => {
-                eprintln!("scenario: server closed the connection");
-                std::process::exit(1);
-            }
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("scenario: read failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        let us = start.elapsed().as_micros() as u64;
-        (line.trim_end().to_string(), us)
-    }
-}
 
 /// Accumulator for one campaign: receipt-order response lines (the
 /// digest input), latencies, request-class counts, and every envelope
@@ -1709,10 +1616,16 @@ impl ScenarioRun {
 
     /// One round trip through `client`, recording the line, the
     /// latency, and whether the server said ok. Returns the response
-    /// line on success, `None` (and counts an error) otherwise.
-    fn call(&mut self, client: &mut ScenarioClient, body: &str) -> Option<String> {
-        let (line, us) = client.rpc(body);
-        self.latencies_us.push(us);
+    /// line on success, `None` (and counts an error) otherwise. The
+    /// client's monotone ids make the byte stream a campaign observes a
+    /// pure function of (seed, quick), independent of the server's shard
+    /// count, which is what the CI matrix gates on.
+    fn call(&mut self, client: &mut Client, body: &str) -> Option<String> {
+        let start = std::time::Instant::now();
+        let line = client
+            .request(body)
+            .unwrap_or_else(|e| die(&format!("scenario: {e}")));
+        self.latencies_us.push(start.elapsed().as_micros() as u64);
         self.lines.push(line.clone());
         let ok = domatic_telemetry::json::parse(&line)
             .ok()
@@ -1729,11 +1642,7 @@ impl ScenarioRun {
     }
 
     /// A `mutate` round trip; returns the parsed result object.
-    fn mutate(
-        &mut self,
-        client: &mut ScenarioClient,
-        body: &str,
-    ) -> Option<domatic_telemetry::json::Json> {
+    fn mutate(&mut self, client: &mut Client, body: &str) -> Option<domatic_telemetry::json::Json> {
         self.mutations += 1;
         let line = self.call(client, body)?;
         domatic_telemetry::json::parse(&line)
@@ -1743,13 +1652,7 @@ impl ScenarioRun {
 
     /// A `solve` round trip; enforces the lifetime envelope and returns
     /// the byte-exact result slice.
-    fn solve(
-        &mut self,
-        client: &mut ScenarioClient,
-        graph: &str,
-        alg: &str,
-        seed: u64,
-    ) -> Option<String> {
+    fn solve(&mut self, client: &mut Client, graph: &str, alg: &str, seed: u64) -> Option<String> {
         self.solves += 1;
         let body =
             format!("\"op\":\"solve\",\"graph\":\"{graph}\",\"alg\":\"{alg}\",\"b\":3,\"k\":1,\"seed\":{seed}");
@@ -1821,7 +1724,7 @@ fn scenario_pick(seed: u64, round: u64, salt: u64, modulus: u64) -> u64 {
 /// `crash` graph, with `bounds` + `solve` probes after every wave. The
 /// node ids shift down on each removal (the protocol compacts), so the
 /// picks below are against the *current* population.
-fn scenario_crash_wave(client: &mut ScenarioClient, quick: bool, seed: u64) -> ScenarioRun {
+fn scenario_crash_wave(client: &mut Client, quick: bool, seed: u64) -> ScenarioRun {
     let mut run = ScenarioRun::new("crash-wave");
     let start = std::time::Instant::now();
     let waves = if quick { 3 } else { 6 };
@@ -1851,7 +1754,7 @@ fn scenario_crash_wave(client: &mut ScenarioClient, quick: bool, seed: u64) -> S
 /// the pre-flap baseline. The re-added graph has the same content hash
 /// as the original, so this exercises the cache's tombstone *revive*
 /// path end to end.
-fn scenario_link_flap(client: &mut ScenarioClient, quick: bool, seed: u64) -> ScenarioRun {
+fn scenario_link_flap(client: &mut Client, quick: bool, seed: u64) -> ScenarioRun {
     let mut run = ScenarioRun::new("link-flap");
     let start = std::time::Instant::now();
     let flips = if quick { 3 } else { 8 };
@@ -1885,7 +1788,7 @@ fn scenario_link_flap(client: &mut ScenarioClient, quick: bool, seed: u64) -> Sc
 /// non-uniform overlay, recharge it past the default, re-solve. Uses
 /// `greedy` throughout — the closed-form `uniform` solver rightly
 /// refuses non-uniform batteries.
-fn scenario_battery_recharge(client: &mut ScenarioClient, quick: bool, seed: u64) -> ScenarioRun {
+fn scenario_battery_recharge(client: &mut Client, quick: bool, seed: u64) -> ScenarioRun {
     let mut run = ScenarioRun::new("battery-recharge");
     let start = std::time::Instant::now();
     let cycles = if quick { 3 } else { 6 };
@@ -1911,7 +1814,7 @@ fn scenario_battery_recharge(client: &mut ScenarioClient, quick: bool, seed: u64
 /// lower-bound family, grown one node at a time (`add_node` wired to its
 /// three predecessors). Checks the mutate result's `n` climbs by exactly
 /// one per step.
-fn scenario_dense_growth(client: &mut ScenarioClient, quick: bool, seed: u64) -> ScenarioRun {
+fn scenario_dense_growth(client: &mut Client, quick: bool, seed: u64) -> ScenarioRun {
     let mut run = ScenarioRun::new("dense-growth");
     let start = std::time::Instant::now();
     let steps = if quick { 3 } else { 8 };
@@ -1975,7 +1878,7 @@ fn cmd_scenario(rest: &[String]) {
         eprintln!("scenario needs --addr HOST:PORT");
         std::process::exit(2);
     }
-    let mut client = ScenarioClient::connect(&addr);
+    let mut client = connect(&addr);
     let runs = [
         scenario_crash_wave(&mut client, quick, seed),
         scenario_link_flap(&mut client, quick, seed),
@@ -2010,10 +1913,7 @@ fn cmd_scenario(rest: &[String]) {
         std::env::consts::OS,
         rows.join(",")
     );
-    std::fs::write(&out, &doc).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
+    std::fs::write(&out, &doc).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
     eprintln!("scenario: wrote {out}");
     if failed {
         std::process::exit(1);

@@ -4,8 +4,9 @@
 //! against the live server — the acceptance path for the tracing,
 //! exposition, and profiling surface.
 
+use domatic::server::Client;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -72,21 +73,17 @@ fn start_server(access_log: &std::path::Path) -> ServerProc {
 }
 
 fn drive_traffic(addr: &str, n: u64) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut stream = stream;
+    let mut client = Client::connect(addr).expect("connect");
     for i in 0..n {
-        let line = if i % 3 == 0 {
-            format!("{{\"id\":{i},\"op\":\"bounds\",\"graph\":\"main\",\"b\":3}}")
+        let body = if i % 3 == 0 {
+            "\"op\":\"bounds\",\"graph\":\"main\",\"b\":3".to_string()
         } else {
             format!(
-                "{{\"id\":{i},\"op\":\"solve\",\"graph\":\"main\",\"alg\":\"greedy\",\"b\":3,\"seed\":{}}}",
+                "\"op\":\"solve\",\"graph\":\"main\",\"alg\":\"greedy\",\"b\":3,\"seed\":{}",
                 i % 2
             )
         };
-        writeln!(stream, "{line}").expect("write");
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("read");
+        let resp = client.request(&body).expect("round trip");
         assert!(resp.contains("\"ok\":true"), "{resp}");
     }
 }
@@ -176,4 +173,49 @@ fn top_and_profile_run_against_a_live_server() {
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn top_and_profile_exit_1_with_one_line_when_the_server_is_gone() {
+    // A stub takes one connection per command and ends it once the
+    // request has arrived: `reset` drops it unread, so the kernel answers
+    // with RST (a read error); otherwise it reads the line and closes.
+    let hang_up_stub = |reset: bool| {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            for stream in listener.incoming().take(2) {
+                let stream = stream.unwrap();
+                if reset {
+                    stream.peek(&mut [0u8; 1]).unwrap();
+                } else {
+                    BufReader::new(stream)
+                        .read_line(&mut String::new())
+                        .unwrap();
+                }
+            }
+        });
+        (addr, handle)
+    };
+    let dead = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    let (eof, eof_stub) = hang_up_stub(false);
+    let (reset, reset_stub) = hang_up_stub(true);
+    for addr in [&dead, &eof, &reset] {
+        for args in [
+            vec!["top", "--addr", addr, "--iterations", "1", "--no-clear"],
+            vec!["profile", "--addr", addr],
+        ] {
+            let out = Command::new(BIN).args(&args).output().expect("run domatic");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+        }
+    }
+    eof_stub.join().unwrap();
+    reset_stub.join().unwrap();
 }
