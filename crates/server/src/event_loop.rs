@@ -93,7 +93,7 @@ impl Slab {
 }
 
 fn run_shard(server: &Arc<Server>, idx: usize, poll: &mio::Poll, shared: &Arc<ShardShared>) {
-    let depth_hist = domatic_telemetry::global().labeled_histogram(
+    let depth_hist = server.registry().labeled_histogram(
         "server.shard_queue_depth",
         &[("shard", &idx.to_string())],
         &DEPTH_BUCKETS,

@@ -53,5 +53,5 @@ pub mod trace;
 pub use cache::SolveCache;
 pub use client::Client;
 pub use protocol::{parse_request, Op, Request};
-pub use server::{Server, ServerConfig, ServerStatsSnapshot};
+pub use server::{Server, ServerConfig};
 pub use trace::{ReqTrace, TraceRecord, Tracer};

@@ -16,7 +16,7 @@
 //! | `b`           | solve/bounds/adapt | 3       | uniform battery level |
 //! | `k`           | solve/bounds/adapt | 1       | domination tolerance |
 //! | `seed`        | solve/adapt      | 0         | base seed |
-//! | `trials`      | solve/adapt      | 8         | best-of-R restarts |
+//! | `trials`      | solve/adapt      | 8         | best-of-R restarts, at most 1024: each restart is a whole solve |
 //! | `c`           | solve/adapt      | 3.0       | the paper's range constant |
 //! | `hops`        | solve/bounds     | 1         | coverage radius (d-hop domination) |
 //! | `deadline_ms` | solve/bounds/adapt | none    | per-request deadline |
@@ -112,6 +112,12 @@ pub struct Request {
     /// [`Op::Mutate`], `None` otherwise).
     pub delta: Option<GraphDelta>,
 }
+
+/// Cap on `trials`, 128× the default of 8. Each restart is a whole
+/// solve, and the thread pool collects `best_of`'s whole trial range
+/// into memory first, so an uncapped value lets one request line abort
+/// the process on a failed allocation.
+const MAX_TRIALS: u64 = 1024;
 
 fn bad(message: impl Into<String>) -> DomaticError {
     DomaticError::BadRequest {
@@ -230,9 +236,15 @@ pub fn parse_request(line: &str) -> Result<Request, (u64, DomaticError)> {
     } else {
         None
     };
+    let trials = field_u64(&obj, "trials", 8).map_err(fail)?;
+    if trials > MAX_TRIALS {
+        return Err(fail(bad(format!(
+            "field 'trials' must be at most {MAX_TRIALS}"
+        ))));
+    }
     let mut cfg = SolverConfig::new()
         .seed(field_u64(&obj, "seed", 0).map_err(fail)?)
-        .trials(field_u64(&obj, "trials", 8).map_err(fail)?)
+        .trials(trials)
         .k(field_u64(&obj, "k", 1).map_err(fail)? as usize)
         .c(field_f64(&obj, "c", 3.0).map_err(fail)?)
         .hops(field_u64(&obj, "hops", 1).map_err(fail)? as usize);

@@ -41,6 +41,8 @@ use domatic_core::solver::make_solver;
 use domatic_graph::Graph;
 use domatic_netsim::{compare_static_adaptive, AdaptiveConfig, FailureModel, FailurePlan};
 use domatic_schedule::Batteries;
+use domatic_telemetry::json::Json;
+use domatic_telemetry::{Counter, Registry, Snapshot};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
@@ -113,72 +115,66 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotone event counters, mirrored into `domatic-telemetry` so
-/// `--trace` and JSON sinks see them alongside solver spans.
-#[derive(Default)]
+/// This server's event counters: handles into its own registry,
+/// resolved once under their metric names, so a count is one
+/// relaxed atomic add.
 struct Counters {
-    requests: AtomicU64,
-    solves: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    batch_joined: AtomicU64,
-    overloads: AtomicU64,
-    shed_miss: AtomicU64,
-    shed_join: AtomicU64,
-    deadline_expired: AtomicU64,
-    errors: AtomicU64,
-    mutations: AtomicU64,
-    lineage_invalidations: AtomicU64,
+    requests: Counter,
+    solves: Counter,
+    cache_hits: Counter,
+    cache_misses: Counter,
+    cache_evictions: Counter,
+    batch_joined: Counter,
+    overloads: Counter,
+    shed_miss: Counter,
+    shed_join: Counter,
+    deadline_expired: Counter,
+    errors: Counter,
+    mutations: Counter,
+    lineage_invalidations: Counter,
 }
 
-fn bump(counter: &AtomicU64, telemetry_name: &str, delta: u64) {
-    counter.fetch_add(delta, Ordering::Relaxed);
-    domatic_telemetry::global().incr(telemetry_name, delta);
+impl Counters {
+    fn new(r: &Registry) -> Self {
+        Counters {
+            requests: r.counter("server.requests"),
+            solves: r.counter("server.solves"),
+            cache_hits: r.counter("server.cache.hit"),
+            cache_misses: r.counter("server.cache.miss"),
+            cache_evictions: r.counter("server.cache.eviction"),
+            batch_joined: r.counter("server.batch.joined"),
+            overloads: r.counter("server.overload"),
+            shed_miss: r.counter("server.shed.miss"),
+            shed_join: r.counter("server.shed.join"),
+            deadline_expired: r.counter("server.deadline.expired"),
+            errors: r.counter("server.errors"),
+            mutations: r.counter("server.mutations"),
+            lineage_invalidations: r.counter("cache.lineage_invalidations"),
+        }
+    }
 }
 
-/// A point-in-time copy of the server's counters (the `stats` op).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerStatsSnapshot {
-    /// Request lines parsed (including ones answered with errors).
-    pub requests: u64,
-    /// Underlying solves actually executed (batching and caching make
-    /// this less than the solve-shaped request count).
-    pub solves: u64,
-    /// Responses served from the cache.
-    pub cache_hits: u64,
-    /// Cacheable requests that missed.
-    pub cache_misses: u64,
-    /// Entries evicted to hold the byte budget.
-    pub cache_evictions: u64,
-    /// Requests that coalesced into an already-open batch.
-    pub batch_joined: u64,
-    /// Requests rejected by admission control (both shed tiers).
-    pub overloads: u64,
-    /// Overloads from the first shed tier: cache-miss traffic rejected
-    /// at `capacity` in-flight jobs.
-    pub shed_miss: u64,
-    /// Overloads from the second shed tier: batch joins rejected under
-    /// severe waiter pressure (`shed_join_waiters`).
-    pub shed_join: u64,
-    /// Requests answered with a deadline error.
-    pub deadline_expired: u64,
-    /// Requests answered with any typed error.
-    pub errors: u64,
-    /// Graph mutations applied (each producing a new graph version).
-    pub mutations: u64,
-    /// Cache entries dropped by hash-lineage invalidation (descendant
-    /// versions superseding the entries' graph version).
-    pub lineage_invalidations: u64,
-    /// Payload bytes currently cached.
-    pub cache_bytes: u64,
-    /// Results currently cached.
-    pub cache_entries: u64,
-    /// Jobs currently in flight.
-    pub inflight: u64,
-    /// Live TCP connections (zero under the stdio transport).
-    pub connections: u64,
-}
+/// The `stats` payload: each wire field and the series (counter or
+/// gauge) it reads. [`Server::stats`] panics on a series it cannot find.
+const STATS_FIELDS: [(&str, &str); 17] = [
+    ("batch_joined", "server.batch.joined"),
+    ("cache_bytes", "runtime.cache_bytes"),
+    ("cache_entries", "server.cache_entries"),
+    ("cache_evictions", "server.cache.eviction"),
+    ("cache_hits", "server.cache.hit"),
+    ("cache_misses", "server.cache.miss"),
+    ("connections", "server.connections"),
+    ("deadline_expired", "server.deadline.expired"),
+    ("errors", "server.errors"),
+    ("inflight", "server.inflight"),
+    ("lineage_invalidations", "cache.lineage_invalidations"),
+    ("mutations", "server.mutations"),
+    ("overloads", "server.overload"),
+    ("requests", "server.requests"),
+    ("shed_join", "server.shed.join"),
+    ("shed_miss", "server.shed.miss"),
+    ("solves", "server.solves"),
+];
 
 /// The current version of a named graph and its parent's hash. Keeps
 /// no per-mutation history: its size is bounded by the graph, not by the
@@ -255,6 +251,9 @@ pub struct Server {
     idle: Condvar,
     accepting: AtomicBool,
     shutdown_requested: AtomicBool,
+    /// This server's own metrics: its counters and latency histograms.
+    /// Two servers in one process never see each other's counts.
+    registry: Arc<Registry>,
     counters: Counters,
     tracer: Tracer,
     /// Batch waiters currently queued server-wide (batch leaders and
@@ -272,12 +271,16 @@ pub struct Server {
 impl Server {
     /// A server with no graphs yet.
     pub fn new(cfg: ServerConfig) -> Self {
+        let registry = Arc::new(Registry::new());
         Server {
             cache: Mutex::new(SolveCache::new(cfg.cache_bytes)),
             tracer: Tracer::new(
                 cfg.trace_ring,
                 cfg.slow_ms.map(|ms| ms.saturating_mul(1000)),
+                Arc::clone(&registry),
             ),
+            counters: Counters::new(&registry),
+            registry,
             cfg,
             graphs: RwLock::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
@@ -285,7 +288,6 @@ impl Server {
             idle: Condvar::new(),
             accepting: AtomicBool::new(true),
             shutdown_requested: AtomicBool::new(false),
-            counters: Counters::default(),
             queued_waiters: AtomicU64::new(0),
             acceptor: Mutex::new(None),
             connections: AtomicU64::new(0),
@@ -348,32 +350,59 @@ impl Server {
         self.shutdown_requested.load(Ordering::Acquire)
     }
 
-    /// Current counter values.
-    pub fn stats(&self) -> ServerStatsSnapshot {
-        let c = &self.counters;
+    /// The `stats` payload: every wire field and its current value,
+    /// read from this server's registry and the structures that hold
+    /// its gauges. Indexing a field that does not exist panics.
+    pub fn stats(&self) -> BTreeMap<&'static str, u64> {
+        let mut values = self.registry.snapshot().counters;
+        values.extend(self.stats_gauges().map(|(name, v)| (name.to_string(), v)));
+        STATS_FIELDS
+            .iter()
+            .map(|&(field, series)| (field, values[series]))
+            .collect()
+    }
+
+    /// The point-in-time gauges the `stats` payload reports, read from
+    /// the structures that hold them. Each lock is taken and released in
+    /// its own statement, so no two guards overlap and a reader imposes
+    /// no lock order on the request path.
+    fn stats_gauges(&self) -> [(&'static str, u64); 4] {
         let (cache_bytes, cache_entries) = {
             let cache = lock(&self.cache);
             (cache.bytes() as u64, cache.len() as u64)
         };
-        ServerStatsSnapshot {
-            requests: c.requests.load(Ordering::Relaxed),
-            solves: c.solves.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: c.cache_evictions.load(Ordering::Relaxed),
-            batch_joined: c.batch_joined.load(Ordering::Relaxed),
-            overloads: c.overloads.load(Ordering::Relaxed),
-            shed_miss: c.shed_miss.load(Ordering::Relaxed),
-            shed_join: c.shed_join.load(Ordering::Relaxed),
-            deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
-            errors: c.errors.load(Ordering::Relaxed),
-            mutations: c.mutations.load(Ordering::Relaxed),
-            lineage_invalidations: c.lineage_invalidations.load(Ordering::Relaxed),
-            cache_bytes,
-            cache_entries,
-            inflight: *lock(&self.inflight) as u64,
-            connections: self.connections.load(Ordering::Relaxed),
-        }
+        let inflight = *lock(&self.inflight) as u64;
+        let connections = self.connections.load(Ordering::Relaxed);
+        [
+            ("runtime.cache_bytes", cache_bytes),
+            ("server.cache_entries", cache_entries),
+            ("server.connections", connections),
+            ("server.inflight", inflight),
+        ]
+    }
+
+    /// Everything the `metrics` exposition shows: the process-wide
+    /// registry (library spans, `runtime.threads`, `core.*` counters)
+    /// with this server's registry layered over it, plus gauges copied
+    /// at read time from the structures the server holds. Like
+    /// [`Server::stats`], it holds at most one server lock at a time.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = domatic_telemetry::global().snapshot();
+        let own = self.registry.snapshot();
+        snap.counters.extend(own.counters);
+        snap.histograms.extend(own.histograms);
+        snap.labeled.extend(own.labeled);
+        let graphs = rlock(&self.graphs).len() as u64;
+        let pending = lock(&self.pending).len() as u64;
+        let queued_waiters = self.queued_waiters.load(Ordering::Relaxed);
+        let gauges = self.stats_gauges().into_iter().chain([
+            ("server.graphs", graphs),
+            ("server.pending_batches", pending),
+            ("server.queued_waiters", queued_waiters),
+        ]);
+        snap.gauges
+            .extend(gauges.map(|(name, value)| (name.to_string(), value)));
+        snap
     }
 
     /// The server's tracing spine, shared with the shard event loops.
@@ -381,21 +410,22 @@ impl Server {
         &self.tracer
     }
 
-    /// Accounts a newly accepted connection (gauge up) and hands out its
+    /// The server's own metric registry, shared with the shard event
+    /// loops.
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Accounts a newly accepted connection and hands out its
     /// server-wide connection id for trace events.
     pub(crate) fn conn_opened(&self) -> u64 {
-        let live = self.connections.fetch_add(1, Ordering::Relaxed) + 1;
-        domatic_telemetry::global().set_gauge("server.connections", live);
+        self.connections.fetch_add(1, Ordering::Relaxed);
         self.conn_ids.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Accounts a closed connection (gauge down).
+    /// Accounts a closed connection.
     pub(crate) fn conn_closed(&self) {
-        let live = self
-            .connections
-            .fetch_sub(1, Ordering::Relaxed)
-            .saturating_sub(1);
-        domatic_telemetry::global().set_gauge("server.connections", live);
+        self.connections.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Stops admitting work and blocks until every in-flight job has
@@ -416,7 +446,7 @@ impl Server {
         if line.is_empty() {
             return false;
         }
-        bump(&self.counters.requests, "server.requests", 1);
+        self.counters.requests.incr();
         let req = match protocol::parse_request(line) {
             Ok(r) => r,
             Err((id, e)) => {
@@ -430,8 +460,9 @@ impl Server {
                 false
             }
             Op::Stats => {
-                let payload = render_stats(&self.stats());
-                self.respond(sink, &protocol::ok_line(req.id, &payload));
+                let fields = self.stats().into_iter();
+                let payload = Json::obj(fields.map(|(k, v)| (k.to_string(), Json::Int(v.into()))));
+                self.respond(sink, &protocol::ok_line(req.id, &payload.render()));
                 false
             }
             Op::Metrics => {
@@ -545,17 +576,11 @@ impl Server {
             let mut cache = lock(&self.cache);
             if !live.contains(&parent_hash) {
                 let dropped = cache.retire_graphs(&[parent_hash]);
-                if dropped > 0 {
-                    bump(
-                        &self.counters.lineage_invalidations,
-                        "cache.lineage_invalidations",
-                        dropped,
-                    );
-                }
+                self.counters.lineage_invalidations.add(dropped);
             }
             cache.revive_graphs(&live);
         }
-        bump(&self.counters.mutations, "server.mutations", 1);
+        self.counters.mutations.incr();
         Ok(format!(
             "{{\"action\":\"{}\",\"graph\":{},\"graph_hash\":\"{new_hash:016x}\",\"m\":{m},\"n\":{n},\"parent_hash\":\"{parent_hash:016x}\",\"version\":{version}}}",
             delta.action(),
@@ -644,7 +669,7 @@ impl Server {
         self.tracer.event(&rt, "admitted");
 
         if let Some(payload) = lock(&self.cache).get(spec.key) {
-            bump(&self.counters.cache_hits, "server.cache.hit", 1);
+            self.counters.cache_hits.incr();
             self.tracer.event(&rt, "cache_hit");
             self.respond(sink, &protocol::ok_line(spec.req.id, &payload));
             self.tracer.finish(&rt, "ok", 0, 0);
@@ -672,8 +697,8 @@ impl Server {
             // this path — they are served to the last.
             if self.queued_waiters.load(Ordering::Relaxed) >= self.cfg.shed_join_waiters as u64 {
                 drop(pending);
-                bump(&self.counters.overloads, "server.overload", 1);
-                bump(&self.counters.shed_join, "server.shed.join", 1);
+                self.counters.overloads.incr();
+                self.counters.shed_join.incr();
                 self.tracer.shed(&rt, "overloaded_join");
                 self.respond_err(
                     sink,
@@ -685,7 +710,7 @@ impl Server {
                 );
                 return;
             }
-            bump(&self.counters.batch_joined, "server.batch.joined", 1);
+            self.counters.batch_joined.incr();
             self.tracer.event(&rt, "batch_joined");
             self.queued_waiters.fetch_add(1, Ordering::Relaxed);
             lock(&batch.waiters).push(waiter);
@@ -702,8 +727,8 @@ impl Server {
             if *inflight >= self.cfg.capacity {
                 drop(inflight);
                 drop(pending);
-                bump(&self.counters.overloads, "server.overload", 1);
-                bump(&self.counters.shed_miss, "server.shed.miss", 1);
+                self.counters.overloads.incr();
+                self.counters.shed_miss.incr();
                 self.tracer.shed(&rt, "overloaded_miss");
                 self.respond_err(
                     sink,
@@ -716,12 +741,11 @@ impl Server {
                 return;
             }
             *inflight += 1;
-            domatic_telemetry::global().set_gauge("server.inflight", *inflight as u64);
         }
         // A miss is a request that had to open a batch; joiners count as
         // `batch_joined` instead, so hits + misses + joins partitions the
         // admitted cacheable traffic.
-        bump(&self.counters.cache_misses, "server.cache.miss", 1);
+        self.counters.cache_misses.incr();
         self.tracer.event(&rt, "cache_miss");
         let batch = Arc::new(Batch {
             waiters: Mutex::new(vec![waiter]),
@@ -767,27 +791,17 @@ impl Server {
                 computed.map(|(payload, s_us, r_us)| {
                     solve_us = s_us;
                     render_us = r_us;
-                    domatic_telemetry::global().observe_labeled(
+                    self.registry.observe_labeled(
                         "server.solve_latency_us",
                         &[("alg", &spec.req.alg), ("graph", &spec.req.graph)],
                         s_us,
                     );
                     self.tracer.event(&leader, "rendered");
                     let payload: Arc<str> = payload.into();
-                    bump(&self.counters.solves, "server.solves", 1);
-                    let (evicted, bytes) = {
-                        let mut cache = lock(&self.cache);
-                        let evicted = cache.insert(spec.key, spec.graph_hash, Arc::clone(&payload));
-                        (evicted, cache.bytes() as u64)
-                    };
-                    if evicted > 0 {
-                        bump(
-                            &self.counters.cache_evictions,
-                            "server.cache.eviction",
-                            evicted,
-                        );
-                    }
-                    domatic_telemetry::global().set_gauge("runtime.cache_bytes", bytes);
+                    self.counters.solves.incr();
+                    let evicted =
+                        lock(&self.cache).insert(spec.key, spec.graph_hash, Arc::clone(&payload));
+                    self.counters.cache_evictions.add(evicted);
                     payload
                 })
             }
@@ -837,11 +851,7 @@ impl Server {
     ) {
         for w in waiters {
             if w.expired() {
-                bump(
-                    &self.counters.deadline_expired,
-                    "server.deadline.expired",
-                    1,
-                );
+                self.counters.deadline_expired.incr();
                 self.tracer.event(&w.trace, "deadline_expired");
                 self.respond_err(
                     &w.sink,
@@ -870,7 +880,6 @@ impl Server {
         }
         let mut inflight = lock(&self.inflight);
         *inflight -= 1;
-        domatic_telemetry::global().set_gauge("server.inflight", *inflight as u64);
         if *inflight == 0 {
             self.idle.notify_all();
         }
@@ -888,19 +897,9 @@ impl Server {
         })
     }
 
-    /// Renders the telemetry registry as Prometheus text exposition,
-    /// refreshing point-in-time gauges (cache bytes/entries, in-flight)
-    /// first so every scrape is current.
+    /// Renders [`Server::snapshot`] as Prometheus text exposition.
     pub fn metrics_text(&self) -> String {
-        let t = domatic_telemetry::global();
-        let (bytes, entries) = {
-            let cache = lock(&self.cache);
-            (cache.bytes() as u64, cache.len() as u64)
-        };
-        t.set_gauge("runtime.cache_bytes", bytes);
-        t.set_gauge("server.cache_entries", entries);
-        t.set_gauge("server.inflight", *lock(&self.inflight) as u64);
-        domatic_telemetry::prometheus::render(&t.snapshot())
+        domatic_telemetry::prometheus::render(&self.snapshot())
     }
 
     /// Renders the `profile` payload: the completed-request ring (oldest
@@ -940,7 +939,7 @@ impl Server {
     }
 
     fn respond_err(&self, sink: &ResponseSink, id: u64, err: &DomaticError) {
-        bump(&self.counters.errors, "server.errors", 1);
+        self.counters.errors.incr();
         self.respond(sink, &protocol::err_line(id, err));
     }
 
@@ -1155,29 +1154,6 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64), DomaticError> {
     }
 }
 
-fn render_stats(s: &ServerStatsSnapshot) -> String {
-    format!(
-        "{{\"batch_joined\":{},\"cache_bytes\":{},\"cache_entries\":{},\"cache_evictions\":{},\"cache_hits\":{},\"cache_misses\":{},\"connections\":{},\"deadline_expired\":{},\"errors\":{},\"inflight\":{},\"lineage_invalidations\":{},\"mutations\":{},\"overloads\":{},\"requests\":{},\"shed_join\":{},\"shed_miss\":{},\"solves\":{}}}",
-        s.batch_joined,
-        s.cache_bytes,
-        s.cache_entries,
-        s.cache_evictions,
-        s.cache_hits,
-        s.cache_misses,
-        s.connections,
-        s.deadline_expired,
-        s.errors,
-        s.inflight,
-        s.lineage_invalidations,
-        s.mutations,
-        s.overloads,
-        s.requests,
-        s.shed_join,
-        s.shed_miss,
-        s.solves,
-    )
-}
-
 pub(crate) fn json_str(s: &str) -> String {
-    domatic_telemetry::json::Json::Str(s.to_string()).render()
+    Json::Str(s.to_string()).render()
 }

@@ -22,6 +22,7 @@
 //! `--slow-ms` is set.
 
 use crate::server::{json_str, lock};
+use domatic_telemetry::Registry;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write;
@@ -105,12 +106,15 @@ pub struct Tracer {
     ring: Mutex<VecDeque<TraceRecord>>,
     ring_cap: usize,
     slow_us: Option<u64>,
+    /// The owning server's registry; holds the per-op latency histogram.
+    registry: Arc<Registry>,
 }
 
 impl Tracer {
     /// A tracer keeping at most `ring_cap` completed records, dumping
-    /// full lifecycles of requests slower than `slow_us` (if set).
-    pub fn new(ring_cap: usize, slow_us: Option<u64>) -> Self {
+    /// full lifecycles of requests slower than `slow_us` (if set), and
+    /// observing request latencies into `registry`.
+    pub fn new(ring_cap: usize, slow_us: Option<u64>, registry: Arc<Registry>) -> Self {
         Tracer {
             start: Instant::now(),
             next: AtomicU64::new(0),
@@ -118,6 +122,7 @@ impl Tracer {
             ring: Mutex::new(VecDeque::with_capacity(ring_cap.min(1024))),
             ring_cap,
             slow_us,
+            registry,
         }
     }
 
@@ -228,11 +233,8 @@ impl Tracer {
                 rt.id, rt.op, rt.trace,
             ));
         }
-        domatic_telemetry::global().observe_labeled(
-            "server.request_latency_us",
-            &[("op", rt.op)],
-            total_us,
-        );
+        self.registry
+            .observe_labeled("server.request_latency_us", &[("op", rt.op)], total_us);
         let record = TraceRecord {
             trace: rt.trace,
             id: rt.id,
@@ -312,7 +314,7 @@ mod tests {
 
     #[test]
     fn events_are_logged_as_json_lines_with_monotone_timestamps() {
-        let tracer = Tracer::new(8, None);
+        let tracer = Tracer::new(8, None, Arc::default());
         let buf = Shared::default();
         tracer.set_log(Box::new(buf.clone()));
         let rt = tracer.begin(7, "solve", "ring", "greedy");
@@ -338,7 +340,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_oldest_first() {
-        let tracer = Tracer::new(2, None);
+        let tracer = Tracer::new(2, None, Arc::default());
         for i in 0..5u64 {
             let rt = tracer.begin(i, "bounds", "g", "");
             tracer.finish(&rt, "ok", 0, 0);
@@ -352,7 +354,7 @@ mod tests {
 
     #[test]
     fn shed_records_outcome_without_a_log_sink() {
-        let tracer = Tracer::new(4, None);
+        let tracer = Tracer::new(4, None, Arc::default());
         let rt = tracer.begin(1, "solve", "nope", "greedy");
         tracer.shed(&rt, "unknown_graph");
         let ring = tracer.ring_snapshot();
@@ -362,7 +364,7 @@ mod tests {
 
     #[test]
     fn slow_dump_goes_to_the_log_when_attached() {
-        let tracer = Tracer::new(4, Some(0)); // everything is "slow"
+        let tracer = Tracer::new(4, Some(0), Arc::default()); // everything is "slow"
         let buf = Shared::default();
         tracer.set_log(Box::new(buf.clone()));
         let rt = tracer.begin(9, "adapt", "ring", "ft");

@@ -128,7 +128,7 @@ fn burst_responses() -> Vec<String> {
     let mut client = Client::connect(addr).unwrap();
     client.send(&requests.join("\n")).unwrap();
     let got: Vec<String> = requests.iter().map(|_| client.recv().unwrap()).collect();
-    assert_eq!(server.stats().errors, 0);
+    assert_eq!(server.stats()["errors"], 0);
     shutdown(addr, handle);
     got
 }
@@ -250,7 +250,7 @@ fn requests_written_one_byte_per_write_answer_like_the_burst() {
             line.trim_end().to_string()
         })
         .collect();
-    assert_eq!(server.stats().errors, 0);
+    assert_eq!(server.stats()["errors"], 0);
     shutdown(addr, handle);
     assert_eq!(
         got,
@@ -273,7 +273,7 @@ fn cache_hits_serve_while_misses_shed_at_saturated_capacity() {
     let warmed = wait_lines(&buf, 1);
     assert!(warmed[0].contains("\"ok\":true"), "{warmed:?}");
     // The warming job writes its response before releasing its slot.
-    wait_until(|| server.stats().inflight == 0);
+    wait_until(|| server.stats()["inflight"] == 0);
 
     // Saturate the single slot with a job (different key) whose fan-out
     // blocks on its held sink: the slot is released only after fan-out.
@@ -303,16 +303,16 @@ fn cache_hits_serve_while_misses_shed_at_saturated_capacity() {
         "{shed}"
     );
     assert_eq!(responses[2], responses[0], "hit must be byte-identical");
-    assert_eq!(server.stats().inflight, 1);
+    assert_eq!(server.stats()["inflight"], 1);
     drop(held);
 
     server.drain();
     assert_eq!(wait_lines(&held_buf, 1).len(), 1);
     let stats = server.stats();
-    assert_eq!(stats.shed_miss, 1);
-    assert_eq!(stats.shed_join, 0);
-    assert_eq!(stats.overloads, 1);
-    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(stats["shed_miss"], 1);
+    assert_eq!(stats["shed_join"], 0);
+    assert_eq!(stats["overloads"], 1);
+    assert_eq!(stats["cache_hits"], 1);
 }
 
 #[test]
@@ -335,7 +335,7 @@ fn severe_waiter_pressure_sheds_even_batch_joins() {
         server.handle_line(&line, held_sink);
     }
     // Once all of them have solved, no worker is free...
-    wait_until(|| server.stats().solves == workers as u64);
+    wait_until(|| server.stats()["solves"] == workers as u64);
     let (buf, sink) = sink();
     let line = r#"{"id":1,"op":"solve","graph":"ring2","alg":"greedy","b":3}"#;
     // ...so this leader's job stays queued with its batch open (1 queued
@@ -352,12 +352,20 @@ fn severe_waiter_pressure_sheds_even_batch_joins() {
         Some("join"),
         "{responses:?}"
     );
+    // The open batch and its one waiter show on the structure gauges.
+    let gauges = server.snapshot().gauges;
+    assert_eq!(gauges["server.pending_batches"], 1);
+    assert_eq!(gauges["server.queued_waiters"], 1);
     drop(guards);
     server.drain();
     let stats = server.stats();
-    assert_eq!(stats.shed_join, 1);
-    assert_eq!(stats.batch_joined, 0);
-    assert_eq!(stats.solves, workers as u64 + 1, "the leader still solves");
+    assert_eq!(stats["shed_join"], 1);
+    assert_eq!(stats["batch_joined"], 0);
+    assert_eq!(
+        stats["solves"],
+        workers as u64 + 1,
+        "the leader still solves"
+    );
 }
 
 #[test]
@@ -383,7 +391,7 @@ fn shutdown_closes_idle_connections_and_joins_all_transport_threads() {
     assert!(line.contains("\"ok\":true"), "{line}");
 
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().connections < 5 {
+    while server.stats()["connections"] < 5 {
         assert!(Instant::now() < deadline, "{:?}", server.stats());
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -403,7 +411,7 @@ fn shutdown_closes_idle_connections_and_joins_all_transport_threads() {
         );
     }
     assert_eq!(
-        server.stats().connections,
+        server.stats()["connections"],
         0,
         "no connection outlives serve_tcp"
     );
@@ -471,7 +479,7 @@ fn metrics_scrape_reports_connection_gauge_and_shard_queue_depth() {
     assert!(line.contains("\"ok\":true"), "{line}");
 
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().connections < 3 {
+    while server.stats()["connections"] < 3 {
         assert!(Instant::now() < deadline, "{:?}", server.stats());
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -490,14 +498,30 @@ fn metrics_scrape_reports_connection_gauge_and_shard_queue_depth() {
         );
         std::thread::sleep(Duration::from_millis(20));
     };
-    domatic_telemetry::prometheus::parse_snapshot(&text).expect("exposition must parse back");
-    // The gauge is global (shared registry), so other concurrently
-    // running tests may have moved it; this server's own view is exact.
-    assert!(
-        text.contains("server_connections"),
-        "missing connections gauge:\n{text}"
-    );
-    assert_eq!(server.stats().connections, 3);
+    let snap =
+        domatic_telemetry::prometheus::parse_snapshot(&text).expect("exposition must parse back");
+    // The registry is this server's own: the one solve and the three
+    // connections are exact.
+    for (gauge, want) in [
+        ("server_connections", 3),
+        ("server_graphs", 2),
+        ("server_pending_batches", 0),
+        ("server_queued_waiters", 0),
+    ] {
+        assert_eq!(snap.gauges.get(gauge), Some(&want), "{gauge}:\n{text}");
+    }
+    for (counter, want) in [
+        ("server_requests", 1),
+        ("server_solves", 1),
+        ("server_cache_miss", 1),
+    ] {
+        assert_eq!(
+            snap.counters.get(counter),
+            Some(&want),
+            "{counter}:\n{text}"
+        );
+    }
+    assert_eq!(server.stats()["connections"], 3);
     assert!(
         text.contains("server_shard_queue_depth_count{shard=\"0\"}"),
         "missing depth count:\n{text}"

@@ -157,8 +157,8 @@ fn rejected_mutation_leaves_lineage_and_stats_unchanged() {
     assert_eq!(error_kind(&line), "bad_request");
     assert_eq!(server.graph_lineage("ring").unwrap(), before);
     let stats = server.stats();
-    assert_eq!(stats.mutations, 0, "rejected mutations do not count");
-    assert_eq!(stats.lineage_invalidations, 0);
+    assert_eq!(stats["mutations"], 0, "rejected mutations do not count");
+    assert_eq!(stats["lineage_invalidations"], 0);
     // Unknown graphs get the typed unknown_graph error, same as solve.
     let line = roundtrip(
         &server,
@@ -300,12 +300,12 @@ fn mutation_retires_ancestor_cache_entries_but_spares_siblings() {
         "ancestor entries retired, sibling entries untouched"
     );
     let stats = server.stats();
-    assert_eq!(stats.lineage_invalidations, 1);
+    assert_eq!(stats["lineage_invalidations"], 1);
     // The sibling's cached bytes still serve: a repeat solve of `b` is
     // a cache hit.
-    let hits_before = stats.cache_hits;
+    let hits_before = stats["cache_hits"];
     assert!(is_ok(&roundtrip(&server, &solve_line(4, "b"))));
-    assert_eq!(server.stats().cache_hits, hits_before + 1);
+    assert_eq!(server.stats()["cache_hits"], hits_before + 1);
 }
 
 /// One deterministic mutation request for op code `op` at step `i`,

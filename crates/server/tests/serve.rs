@@ -112,11 +112,11 @@ fn batched_duplicates_run_exactly_one_solve_and_fan_out_identically() {
     }
     let stats = server.stats();
     assert_eq!(
-        stats.solves, 1,
+        stats["solves"], 1,
         "{N} identical requests, 1 underlying solve"
     );
     assert_eq!(
-        stats.batch_joined + stats.cache_hits + stats.cache_misses,
+        stats["batch_joined"] + stats["cache_hits"] + stats["cache_misses"],
         N as u64,
         "every request is exactly one of join, hit or miss: {stats:?}"
     );
@@ -150,8 +150,8 @@ fn a_duplicate_arriving_mid_solve_joins_it_instead_of_solving_again() {
     let responses = wait_lines(&buf, 2);
     assert_eq!(result_of(&responses[0]), result_of(&responses[1]));
     let stats = server.stats();
-    assert_eq!(stats.solves, 1, "the duplicate re-solved: {stats:?}");
-    assert_eq!(stats.batch_joined + stats.cache_hits, 1, "{stats:?}");
+    assert_eq!(stats["solves"], 1, "the duplicate re-solved: {stats:?}");
+    assert_eq!(stats["batch_joined"] + stats["cache_hits"], 1, "{stats:?}");
 }
 
 #[test]
@@ -169,8 +169,8 @@ fn cached_response_is_byte_identical_to_the_uncached_one() {
     let both = wait_lines(&buf, 2);
     assert_eq!(both[1], first, "cache hit must replay the exact bytes");
     let stats = server.stats();
-    assert_eq!(stats.solves, 1);
-    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(stats["solves"], 1);
+    assert_eq!(stats["cache_hits"], 1);
 }
 
 #[test]
@@ -190,8 +190,8 @@ fn expired_deadline_gets_a_typed_error_and_the_server_keeps_serving() {
     assert_eq!(error_kind(&first[0]), "deadline");
 
     // The expired request skipped its solve entirely…
-    assert_eq!(server.stats().solves, 0);
-    assert_eq!(server.stats().deadline_expired, 1);
+    assert_eq!(server.stats()["solves"], 0);
+    assert_eq!(server.stats()["deadline_expired"], 1);
 
     // …and the server still serves the next request normally.
     server.handle_line(r#"{"id":2,"op":"solve","graph":"ring","b":3}"#, &sink);
@@ -227,7 +227,7 @@ fn admission_beyond_capacity_is_a_typed_overloaded_error() {
     // An identical key is never rejected: it joins the batch, or hits
     // the cache once the solve is in.
     server.handle_line(r#"{"id":3,"op":"solve","graph":"ring","b":3}"#, &sink);
-    assert_eq!(server.stats().inflight, 1);
+    assert_eq!(server.stats()["inflight"], 1);
     drop(held);
 
     let joined = wait_lines(&buf, 2);
@@ -235,10 +235,10 @@ fn admission_beyond_capacity_is_a_typed_overloaded_error() {
     assert_eq!(id_of(&joined[1]), 3);
     assert_eq!(result_of(&joined[1]), result_of(&leader[0]));
     let stats = server.stats();
-    assert_eq!(stats.overloads, 1);
-    assert_eq!(stats.shed_miss, 1);
-    assert_eq!(stats.batch_joined + stats.cache_hits, 1, "{stats:?}");
-    assert_eq!(stats.solves, 1);
+    assert_eq!(stats["overloads"], 1);
+    assert_eq!(stats["shed_miss"], 1);
+    assert_eq!(stats["batch_joined"] + stats["cache_hits"], 1, "{stats:?}");
+    assert_eq!(stats["solves"], 1);
 }
 
 #[test]
@@ -275,7 +275,10 @@ fn bounds_and_adapt_ops_serve_and_cache() {
         .unwrap();
     let v = json::parse(&adapt_payload).unwrap();
     assert!(v.get("planned").unwrap().as_int().unwrap() > 0);
-    assert!(server.stats().cache_hits >= 1, "duplicate bounds must hit");
+    assert!(
+        server.stats()["cache_hits"] >= 1,
+        "duplicate bounds must hit"
+    );
 }
 
 #[test]
@@ -295,8 +298,8 @@ fn bad_requests_get_typed_errors_without_occupying_capacity() {
         kinds,
         vec!["bad_request", "unknown_graph", "unknown_solver"]
     );
-    assert_eq!(server.stats().inflight, 0);
-    assert_eq!(server.stats().solves, 0);
+    assert_eq!(server.stats()["inflight"], 0);
+    assert_eq!(server.stats()["solves"], 0);
 }
 
 #[test]
@@ -312,7 +315,7 @@ fn deeply_nested_request_is_a_bad_request_and_the_server_keeps_serving() {
     assert_eq!(error_kind(&responses[0]), "bad_request");
     assert_eq!(id_of(&responses[1]), 7);
     assert!(responses[1].contains("\"pong\":true"), "{}", responses[1]);
-    assert_eq!(server.stats().inflight, 0);
+    assert_eq!(server.stats()["inflight"], 0);
 }
 
 #[test]
@@ -463,14 +466,14 @@ fn solver_alias_and_budget_ms_drive_the_anytime_solvers() {
 
     // `budget_ms` is part of the solve identity: the same request with
     // and without a budget may not share a cache entry.
-    let solves_before = server.stats().solves;
+    let solves_before = server.stats()["solves"];
     server.handle_line(
         r#"{"id":4,"op":"solve","graph":"ring","solver":"tabu","b":3,"trials":2}"#,
         &sink,
     );
     wait_lines(&buf, 4);
     assert_eq!(
-        server.stats().solves,
+        server.stats()["solves"],
         solves_before,
         "exact repeat must hit"
     );
@@ -480,7 +483,7 @@ fn solver_alias_and_budget_ms_drive_the_anytime_solvers() {
     );
     wait_lines(&buf, 5);
     assert_eq!(
-        server.stats().solves,
+        server.stats()["solves"],
         solves_before + 1,
         "budgeted request must key its own solve"
     );
@@ -502,7 +505,7 @@ fn unknown_solver_names_are_rejected_typed_via_either_field() {
     let kind_of = |id: u64| error_kind(responses.iter().find(|l| id_of(l) == id).unwrap());
     assert_eq!(kind_of(1), "unknown_solver");
     assert_eq!(kind_of(2), "bad_request", "alg/solver disagreement");
-    assert_eq!(server.stats().solves, 0);
+    assert_eq!(server.stats()["solves"], 0);
 }
 
 #[test]
@@ -532,12 +535,12 @@ fn shutdown_drains_and_rejects_new_work() {
     assert!(responses[0].contains("draining"), "{}", responses[0]);
     assert_eq!(id_of(&responses[1]), 3);
     assert_eq!(error_kind(&responses[1]), "shutting_down");
-    assert_eq!(server.stats().inflight, 1);
+    assert_eq!(server.stats()["inflight"], 1);
     drop(held);
 
     // Drain returns only after the in-flight job has fanned out.
     server.drain();
-    assert_eq!(server.stats().inflight, 0);
+    assert_eq!(server.stats()["inflight"], 0);
     let first = lines(&leader_buf);
     assert_eq!(first.len(), 1, "{first:?}");
     assert_eq!(id_of(&first[0]), 1);
@@ -591,13 +594,13 @@ fn tcp_transport_serves_concurrent_mixed_clients_end_to_end() {
     }
 
     let stats = server.stats();
-    assert_eq!(stats.errors, 0);
+    assert_eq!(stats["errors"], 0);
     assert!(
-        stats.cache_hits + stats.batch_joined > 0,
+        stats["cache_hits"] + stats["batch_joined"] > 0,
         "duplicates must coalesce or hit: {stats:?}"
     );
     assert!(
-        stats.solves < 24,
+        stats["solves"] < 24,
         "24 requests must not mean 24 solves: {stats:?}"
     );
 
@@ -644,7 +647,7 @@ fn stats_op_payload_is_pinned_byte_for_byte() {
     }
     // A job writes its response before releasing its in-flight slot.
     let start = Instant::now();
-    while server.stats().inflight > 0 {
+    while server.stats()["inflight"] > 0 {
         assert!(start.elapsed() < Duration::from_secs(20));
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -755,6 +758,41 @@ fn access_log_traces_the_lifecycle_without_changing_response_bytes() {
     }
 }
 
+/// Sends `requests` one at a time, each waiting for its response, then
+/// waits until no job is in flight (a job records its latencies and
+/// releases its slot only after writing its response).
+fn run_script(server: &Arc<Server>, requests: &[&str]) {
+    let (buf, sink) = sink();
+    for (i, line) in requests.iter().enumerate() {
+        server.handle_line(line, &sink);
+        wait_lines(&buf, i + 1);
+    }
+    let start = Instant::now();
+    while server.stats()["inflight"] > 0 {
+        assert!(start.elapsed() < Duration::from_secs(20));
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The `metrics` op's exposition text.
+fn scrape(server: &Arc<Server>) -> String {
+    let (buf, sink) = sink();
+    server.handle_line(r#"{"id":99,"op":"metrics"}"#, &sink);
+    let v = json::parse(&result_of(&wait_lines(&buf, 1)[0])).unwrap();
+    v.get("exposition")
+        .and_then(|e| e.as_str())
+        .unwrap()
+        .to_string()
+}
+
+/// The value of the unlabeled sample `name`, if the exposition has it.
+fn sample(samples: &[domatic_telemetry::prometheus::Sample], name: &str) -> Option<f64> {
+    samples
+        .iter()
+        .find(|s| s.name == name && s.labels.is_empty())
+        .map(|s| s.value)
+}
+
 #[test]
 fn metrics_op_returns_valid_prometheus_exposition() {
     let server = make_server(ServerConfig {
@@ -762,31 +800,65 @@ fn metrics_op_returns_valid_prometheus_exposition() {
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
-    let (buf, sink) = sink();
-    server.handle_line(
-        r#"{"id":1,"op":"solve","graph":"ring","alg":"greedy","b":3,"seed":7}"#,
-        &sink,
+    // A miss, a hit, a mutation retiring one entry, a post-mutation
+    // solve and a typed error.
+    run_script(
+        &server,
+        &[
+            r#"{"id":1,"op":"ping"}"#,
+            r#"{"id":2,"op":"solve","graph":"ring","alg":"greedy","b":3,"seed":7}"#,
+            r#"{"id":3,"op":"solve","graph":"ring","alg":"greedy","b":3,"seed":7}"#,
+            r#"{"id":4,"op":"mutate","graph":"ring","action":"add_edge","u":0,"v":12}"#,
+            r#"{"id":5,"op":"solve","graph":"ring","alg":"greedy","b":3,"seed":7}"#,
+            r#"{"id":6,"op":"solve","graph":"ghost","alg":"greedy","b":3}"#,
+        ],
     );
-    wait_lines(&buf, 1);
-    server.handle_line(r#"{"id":2,"op":"metrics"}"#, &sink);
-    let responses = wait_lines(&buf, 2);
-    let metrics_line = responses.iter().find(|l| id_of(l) == 2).unwrap();
-    let v = json::parse(&result_of(metrics_line)).unwrap();
-    let text = v.get("exposition").and_then(|e| e.as_str()).unwrap();
+    let text = scrape(&server);
+    let samples = domatic_telemetry::prometheus::parse(&text).expect("valid exposition");
+    let value_of = |name: &str| sample(&samples, name);
 
-    // The exposition parses and contains the required series. The
-    // telemetry registry is process-global (shared across tests in this
-    // binary), so assertions are existence/at-least, never equality.
-    let samples = domatic_telemetry::prometheus::parse(text).expect("valid exposition");
-    let value_of = |name: &str| {
+    // The registry is this server's own, so every count is exact: six
+    // script lines plus the `metrics` line itself.
+    for (series, want) in [
+        ("server_requests_total", 7.0),
+        ("server_solves_total", 2.0),
+        ("server_cache_hit_total", 1.0),
+        ("server_cache_miss_total", 2.0),
+        ("server_batch_joined_total", 0.0),
+        ("server_errors_total", 1.0),
+        ("server_mutations_total", 1.0),
+        ("cache_lineage_invalidations_total", 1.0),
+        ("server_cache_entries", 1.0),
+        ("server_inflight", 0.0),
+        ("server_connections", 0.0),
+        ("server_graphs", 2.0),
+        ("server_pending_batches", 0.0),
+        ("server_queued_waiters", 0.0),
+    ] {
+        assert_eq!(value_of(series), Some(want), "{series}:\n{text}");
+    }
+    assert!(value_of("runtime_cache_bytes").is_some_and(|v| v > 0.0));
+    let count_of = |name: &str, labels: &[(&str, &str)]| {
         samples
             .iter()
-            .find(|s| s.name == name && s.labels.is_empty())
+            .find(|s| s.name == name && labels.iter().all(|&(k, v)| s.label(k) == Some(v)))
             .map(|s| s.value)
     };
-    assert!(value_of("server_requests_total").is_some_and(|v| v >= 2.0));
-    assert!(value_of("runtime_cache_bytes").is_some_and(|v| v > 0.0));
-    assert!(value_of("server_cache_entries").is_some_and(|v| v >= 1.0));
+    // Four solve requests were traced (two misses, a hit and the
+    // unknown-graph shed); two of them ran the solver.
+    assert_eq!(
+        count_of("server_request_latency_us_count", &[("op", "solve")]),
+        Some(4.0),
+        "per-op latency histogram:\n{text}"
+    );
+    assert_eq!(
+        count_of(
+            "server_solve_latency_us_count",
+            &[("alg", "greedy"), ("graph", "ring")]
+        ),
+        Some(2.0),
+        "per-solver/per-graph latency histogram:\n{text}"
+    );
     assert!(
         samples
             .iter()
@@ -795,17 +867,149 @@ fn metrics_op_returns_valid_prometheus_exposition() {
                 && s.label("le").is_some()),
         "per-op latency histogram buckets present"
     );
-    assert!(
-        samples
-            .iter()
-            .any(|s| s.name == "server_solve_latency_us_count"
-                && s.label("alg") == Some("greedy")
-                && s.label("graph") == Some("ring")),
-        "per-solver/per-graph latency histogram present"
+
+    // `stats` and `metrics` read one store: every `stats` field equals
+    // its exposition series.
+    let series_of = [
+        ("batch_joined", "server_batch_joined_total"),
+        ("cache_bytes", "runtime_cache_bytes"),
+        ("cache_entries", "server_cache_entries"),
+        ("cache_evictions", "server_cache_eviction_total"),
+        ("cache_hits", "server_cache_hit_total"),
+        ("cache_misses", "server_cache_miss_total"),
+        ("connections", "server_connections"),
+        ("deadline_expired", "server_deadline_expired_total"),
+        ("errors", "server_errors_total"),
+        ("inflight", "server_inflight"),
+        ("lineage_invalidations", "cache_lineage_invalidations_total"),
+        ("mutations", "server_mutations_total"),
+        ("overloads", "server_overload_total"),
+        ("requests", "server_requests_total"),
+        ("shed_join", "server_shed_join_total"),
+        ("shed_miss", "server_shed_miss_total"),
+        ("solves", "server_solves_total"),
+    ];
+    let stats = server.stats();
+    assert_eq!(
+        stats.keys().copied().collect::<Vec<_>>(),
+        series_of.map(|(field, _)| field),
+        "every stats field has a series"
     );
+    for (field, series) in series_of {
+        assert_eq!(
+            value_of(series),
+            Some(stats[field] as f64),
+            "stats.{field} vs {series}:\n{text}"
+        );
+    }
+
     // And the full text round-trips through the snapshot parser.
-    let snap = domatic_telemetry::prometheus::parse_snapshot(text).unwrap();
-    assert!(snap.counters.contains_key("server_requests"));
+    let snap = domatic_telemetry::prometheus::parse_snapshot(&text).unwrap();
+    assert_eq!(snap.counters["server_requests"], 7);
+}
+
+#[test]
+fn two_servers_in_one_process_keep_separate_counts() {
+    let a = make_server(ServerConfig::default());
+    let b = make_server(ServerConfig::default());
+    run_script(
+        &a,
+        &[
+            r#"{"id":1,"op":"solve","graph":"ring","alg":"greedy","b":3,"seed":11}"#,
+            r#"{"id":2,"op":"solve","graph":"ring","alg":"greedy","b":3,"seed":11}"#,
+            r#"{"id":3,"op":"bounds","graph":"ring","b":3}"#,
+            r#"{"id":4,"op":"solve","graph":"ghost","b":3}"#,
+        ],
+    );
+    assert_eq!(a.stats()["requests"], 4);
+    assert_eq!(a.stats()["solves"], 2);
+
+    let idle = b.stats();
+    assert!(idle.values().all(|&v| v == 0), "{idle:?}");
+    let text = b.metrics_text();
+    let samples = domatic_telemetry::prometheus::parse(&text).expect("valid exposition");
+    assert_eq!(
+        sample(&samples, "server_requests_total"),
+        Some(0.0),
+        "{text}"
+    );
+    assert!(
+        !samples
+            .iter()
+            .any(|s| s.name.starts_with("server_request_latency_us")),
+        "an idle server has no latency cells:\n{text}"
+    );
+}
+
+#[test]
+fn scrapes_running_alongside_cache_misses_never_deadlock() {
+    // A `metrics`/`stats` reader must not hold one server lock while it
+    // waits for another: the admit path takes `pending`, then `inflight`,
+    // so a reader taking them the other way round can hang both threads.
+    const MISSES: u64 = 400;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let server = make_server(ServerConfig {
+            capacity: 4 * MISSES as usize,
+            ..ServerConfig::default()
+        });
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let scraper = {
+            let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut scrapes = 0u64;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    assert!(server.metrics_text().contains("server_pending_batches"));
+                    assert!(server.stats()["requests"] <= MISSES);
+                    scrapes += 1;
+                }
+                scrapes
+            })
+        };
+        let (buf, sink) = sink();
+        for seed in 1..=MISSES {
+            let line = format!(
+                r#"{{"id":{seed},"op":"solve","graph":"ring","alg":"greedy","b":3,"seed":{seed}}}"#
+            );
+            server.handle_line(&line, &sink);
+        }
+        wait_lines(&buf, MISSES as usize);
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        let scrapes = scraper.join().expect("scraper panicked");
+        done_tx
+            .send((server.stats()["cache_misses"], scrapes))
+            .unwrap();
+    });
+    let (misses, scrapes) = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a scrape and the admit path deadlocked");
+    assert_eq!(misses, MISSES);
+    assert!(scrapes > 0);
+}
+
+#[test]
+fn trials_over_the_cap_are_a_bad_request_and_the_server_keeps_serving() {
+    let server = make_server(ServerConfig::default());
+    let (buf, sink) = sink();
+    server.handle_line(
+        r#"{"id":1,"op":"solve","graph":"ring","alg":"uniform","b":3,"trials":1000000000000}"#,
+        &sink,
+    );
+    server.handle_line(r#"{"id":2,"op":"ping"}"#, &sink);
+    let responses = wait_lines(&buf, 2);
+    assert_eq!(
+        responses[0],
+        r#"{"id":1,"ok":false,"error":{"kind":"bad_request","message":"bad request: field 'trials' must be at most 1024"}}"#
+    );
+    assert_eq!(responses[1], r#"{"id":2,"ok":true,"result":{"pong":true}}"#);
+    // The cap itself is still served.
+    server.handle_line(
+        r#"{"id":3,"op":"solve","graph":"ring","alg":"uniform","b":3,"trials":1024}"#,
+        &sink,
+    );
+    let solved = &wait_lines(&buf, 3)[2];
+    assert!(solved.starts_with(r#"{"id":3,"ok":true,"#), "{solved}");
+    assert!(solved.contains("\"trials\":1024"), "{solved}");
 }
 
 #[test]

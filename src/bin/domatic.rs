@@ -260,16 +260,19 @@ fn main() {
         Some((c, r)) => (c.clone(), r.to_vec()),
         None => usage(),
     };
-    run_command(&cmd, &rest);
+    let served = run_command(&cmd, &rest);
     if trace {
         use domatic_telemetry::Sink;
-        let snapshot = domatic_telemetry::global().snapshot();
+        let snapshot = served.unwrap_or_else(|| domatic_telemetry::global().snapshot());
         let mut sink = domatic_telemetry::TableSink::new(std::io::stderr());
         sink.emit(&cmd, &snapshot).expect("write trace");
     }
 }
 
-fn run_command(cmd: &str, rest: &[String]) {
+/// Runs one subcommand. `serve` returns its server's final snapshot,
+/// whose counters live in the server's own registry rather than the
+/// global one.
+fn run_command(cmd: &str, rest: &[String]) -> Option<domatic_telemetry::Snapshot> {
     let rest = rest.to_vec();
     match cmd {
         "info" => {
@@ -631,7 +634,7 @@ fn run_command(cmd: &str, rest: &[String]) {
                 }
             }
         }
-        "serve" => cmd_serve(&rest),
+        "serve" => return Some(cmd_serve(&rest)),
         "bench-serve" => cmd_bench_serve(&rest),
         "scenario" => cmd_scenario(&rest),
         "top" => cmd_top(&rest),
@@ -639,6 +642,7 @@ fn run_command(cmd: &str, rest: &[String]) {
         "call" => cmd_call(&rest),
         _ => usage(),
     }
+    None
 }
 
 /// Resolves a `serve --graph` SPEC: a path to an edge-list file, or a
@@ -693,7 +697,7 @@ fn graph_from_spec(spec: &str) -> Graph {
     load_graph(spec)
 }
 
-fn cmd_serve(rest: &[String]) {
+fn cmd_serve(rest: &[String]) -> domatic_telemetry::Snapshot {
     use domatic::server::{Server, ServerConfig};
     let mut cfg = ServerConfig::default();
     let mut graphs: Vec<(String, String)> = Vec::new();
@@ -804,8 +808,9 @@ fn cmd_serve(rest: &[String]) {
     let s = server.stats();
     eprintln!(
         "drained: {} requests, {} solves, {} cache hits, {} batch joins, {} errors",
-        s.requests, s.solves, s.cache_hits, s.batch_joined, s.errors
+        s["requests"], s["solves"], s["cache_hits"], s["batch_joined"], s["errors"]
     );
+    server.snapshot()
 }
 
 /// The `--metrics-port` scrape loop: a minimal plain-text HTTP/1.0
